@@ -4,8 +4,9 @@ Stages communicate through files in a flat output directory (``--out``, or
 the RISPA_OUT environment variable): dataset.jsonl, fse.json, ide.json,
 targets.jsonl, eval.csv, plus CSV histories and a summary. Every artifact
 embeds the seed and scene digest that produced it; there is no hidden state
-between commands. ``--threads 1`` (the default) guarantees byte-identical
-reruns.
+between commands, and reruns with the same flags are byte-identical. The
+stages themselves live in ``evalkit``; ``pipeline`` runs them in one process
+and writes the same artifacts as the stage-by-stage chain.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio, engines, evalkit
 from .dataio import derive_seed
 from .evalkit import PRESETS, PipelineSettings
+from .neural import TrainingDiverged
 from .scene import Scene, default_scene, load_scene, save_scene, scene_digest
 
 logger = logging.getLogger(__name__)
@@ -77,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Power allocation with a programmable reflecting surface: "
                     "virtual experiment, tandem training, closed-loop evaluation.",
     )
-    p.add_argument("command", choices=[
-        "collect", "train-fse", "train-ide", "eval", "special-cases", "adapt", "pipeline",
-    ])
+    p.add_argument("command", choices=list(COMMANDS))
     p.add_argument("--scene", help="scene config JSON (default: built-in scene)")
     p.add_argument("--scene-b", help="second scene for adapt (default: built-in scene with obstacle)")
     p.add_argument("--out", help="output directory (default: $RISPA_OUT or ./rispa_out)")
@@ -92,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int)
     p.add_argument("--tau", type=float, help="soft quantizer temperature in degrees")
     p.add_argument("--noise", type=float, help="override scene noise sigma")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for collect/eval; 1 guarantees reproducibility")
     p.add_argument("--force", action="store_true",
                    help="proceed despite scene digest mismatches")
     p.add_argument("--profiles", type=int, help="override measurement count")
@@ -102,43 +98,40 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def resolve_config(args) -> RunConfig:
+# flag (argparse dest) -> the PipelineSettings fields it overrides
+SETTING_FLAGS = {
+    "epochs_fse": ("epochs_fse",),
+    "epochs_ide": ("epochs_ide",),
+    "lr_fse": ("lr_fse",),
+    "lr_ide": ("lr_ide",),
+    "batch": ("batch_fse", "batch_ide"),
+    "tau": ("temperature",),
+    "noise": ("noise_sigma",),
+    "profiles": ("profile_count",),
+    "targets": ("target_count",),
+}
+
+
+def _scene_flag(flag: str, path, with_obstacle: bool = False) -> Scene:
     try:
-        scene = load_scene(args.scene) if args.scene else default_scene()
+        return load_scene(path) if path else default_scene(with_obstacle=with_obstacle)
     except (OSError, ValueError) as e:
-        raise CliError(f"config error: --scene: {e}", EXIT_CONFIG) from e
+        raise CliError(f"config error: {flag}: {e}", EXIT_CONFIG) from e
+
+
+def resolve_config(args) -> RunConfig:
+    scene = _scene_flag("--scene", args.scene)
     scene_b = None
     if args.command == "adapt":
-        try:
-            scene_b = load_scene(args.scene_b) if args.scene_b else default_scene(with_obstacle=True)
-        except (OSError, ValueError) as e:
-            raise CliError(f"config error: --scene-b: {e}", EXIT_CONFIG) from e
+        scene_b = _scene_flag("--scene-b", args.scene_b, with_obstacle=True)
 
-    settings = PRESETS[args.preset]()
-    overrides = {}
-    if args.epochs_fse is not None:
-        overrides["epochs_fse"] = args.epochs_fse
-    if args.epochs_ide is not None:
-        overrides["epochs_ide"] = args.epochs_ide
-    if args.lr_fse is not None:
-        overrides["lr_fse"] = args.lr_fse
-    if args.lr_ide is not None:
-        overrides["lr_ide"] = args.lr_ide
-    if args.batch is not None:
-        overrides["batch_fse"] = args.batch
-        overrides["batch_ide"] = args.batch
-    if args.tau is not None:
-        overrides["temperature"] = args.tau
-    if args.noise is not None:
-        overrides["noise_sigma"] = args.noise
-    if args.profiles is not None:
-        overrides["profile_count"] = args.profiles
-    if args.targets is not None:
-        overrides["target_count"] = args.targets
-    if args.threads != 1:
-        overrides["threads"] = args.threads
+    overrides = {
+        name: getattr(args, flag)
+        for flag, names in SETTING_FLAGS.items() for name in names
+        if getattr(args, flag) is not None
+    }
     try:
-        settings = dataclasses.replace(settings, **overrides)
+        settings = dataclasses.replace(PRESETS[args.preset](), **overrides)
     except (TypeError, ValueError) as e:
         raise CliError(f"config error: {e}", EXIT_CONFIG) from e
 
@@ -172,26 +165,39 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
+def _refuse_unless_forced(cfg: RunConfig, msg: str) -> None:
+    if not cfg.force:
+        raise CliError(msg + " (use --force to proceed)", EXIT_CONFIG)
+    logger.warning("%s (continuing due to --force)", msg)
+
+
 def _check_digest(cfg: RunConfig, stored: str, what: str) -> None:
     current = scene_digest(_effective_scene(cfg))
     if stored and stored != current:
-        msg = (f"scene digest mismatch: {what} was built on {stored[:12]}..., "
-               f"current scene is {current[:12]}...")
-        if cfg.force:
-            logger.warning("%s (continuing due to --force)", msg)
-        else:
-            raise CliError(msg + " (use --force to proceed)", EXIT_CONFIG)
+        _refuse_unless_forced(cfg, f"scene digest mismatch: {what} was built on "
+                                   f"{stored[:12]}..., current scene is {current[:12]}...")
+
+
+def _save_dataset(cfg: RunConfig, scene: Scene, ds: dataio.ScatterDataset) -> None:
+    dataio.save_scatter(ds, cfg.out_dir / DATASET_FILE)
+    save_scene(scene, cfg.out_dir / "scene.json")
+
+
+def _save_fse(cfg: RunConfig, scene: Scene, fse, report) -> None:
+    engines.save_fse(fse, cfg.out_dir / FSE_FILE)
+    evalkit.export_history(report, cfg.out_dir / FSE_HISTORY_FILE, _provenance(cfg, scene))
+
+
+def _save_ide(cfg: RunConfig, scene: Scene, targets, ide, report) -> None:
+    dataio.save_targets(targets, cfg.out_dir / TARGETS_FILE)
+    engines.save_ide(ide, cfg.out_dir / IDE_FILE)
+    evalkit.export_history(report, cfg.out_dir / IDE_HISTORY_FILE, _provenance(cfg, scene))
 
 
 def cmd_collect(cfg: RunConfig) -> dict:
     scene = _effective_scene(cfg)
-    ds = dataio.collect(
-        scene, cfg.settings.profile_count,
-        derive_seed(cfg.seed, evalkit.SEED_COLLECT),
-        threads=cfg.settings.threads,
-    )
-    dataio.save_scatter(ds, cfg.out_dir / DATASET_FILE)
-    save_scene(scene, cfg.out_dir / "scene.json")
+    ds = evalkit.stage_collect(scene, cfg.settings, cfg.seed)
+    _save_dataset(cfg, scene, ds)
     fracs = ds.fraction_below()
     print(f"collected {len(ds)} records -> {cfg.out_dir / DATASET_FILE}")
     print(f"i_max: {ds.i_max:.6g}")
@@ -204,21 +210,10 @@ def cmd_train_fse(cfg: RunConfig) -> dict:
     path = _require(cfg.out_dir / DATASET_FILE, "collect")
     ds = dataio.load_scatter(path, expected_scene_digest=scene_digest(scene))
     _check_digest(cfg, ds.scene_digest, "dataset")
-    train, val, test = dataio.split(
-        ds, cfg.settings.scatter_split, derive_seed(cfg.seed, evalkit.SEED_SCATTER_SPLIT)
-    )
-    fse, report = engines.train_fse(
-        train, val,
-        epochs=cfg.settings.epochs_fse,
-        learning_rate=cfg.settings.lr_fse,
-        batch_size=cfg.settings.batch_fse,
-        seed=derive_seed(cfg.seed, evalkit.SEED_FSE),
-    )
-    engines.save_fse(fse, cfg.out_dir / FSE_FILE)
-    evalkit.export_history(report, cfg.out_dir / FSE_HISTORY_FILE, _provenance(cfg, scene))
-    test_mse = float(np.mean((engines.fse_predict(fse, test.profiles) - test.normalized) ** 2))
+    fse, report, test_mse = evalkit.stage_train_fse(ds, cfg.settings, cfg.seed)
+    _save_fse(cfg, scene, fse, report)
     print(f"surrogate trained ({cfg.settings.epochs_fse} epochs) -> {cfg.out_dir / FSE_FILE}")
-    print(f"fse_val_mse: {min(report.val_losses):.6g}")
+    print(f"fse_val_mse: {report.best_val_loss:.6g}")
     print(f"fse_test_mse: {test_mse:.6g}")
     return {"fse_test_mse": test_mse}
 
@@ -227,30 +222,11 @@ def cmd_train_ide(cfg: RunConfig) -> dict:
     scene = _effective_scene(cfg)
     fse = engines.load_fse(_require(cfg.out_dir / FSE_FILE, "train-fse"))
     _check_digest(cfg, fse.scene_digest, "surrogate")
-    targets = dataio.generate_targets(
-        cfg.settings.target_count, cfg.settings.target_low, cfg.settings.target_high,
-        seed=derive_seed(cfg.seed, evalkit.SEED_TARGETS),
-    )
-    dataio.save_targets(targets, cfg.out_dir / TARGETS_FILE)
-    t_train, t_val, _ = dataio.split(
-        targets, cfg.settings.target_split, derive_seed(cfg.seed, evalkit.SEED_TARGET_SPLIT)
-    )
-    from .quantizer import QuantizerConfig
-    ide, report = engines.train_ide(
-        fse, t_train, t_val,
-        epochs=cfg.settings.epochs_ide,
-        learning_rate=cfg.settings.lr_ide,
-        batch_size=cfg.settings.batch_ide,
-        seed=derive_seed(cfg.seed, evalkit.SEED_IDE),
-        qcfg=QuantizerConfig(temperature=cfg.settings.temperature),
-    )
-    engines.save_ide(ide, cfg.out_dir / IDE_FILE)
-    evalkit.export_history(report, cfg.out_dir / IDE_HISTORY_FILE, _provenance(cfg, scene))
-    best = report.best_epoch
-    val = report.val_losses[best] if 0 <= best < len(report.val_losses) else float("nan")
+    targets, ide, report = evalkit.stage_train_ide(fse, cfg.settings, cfg.seed)
+    _save_ide(cfg, scene, targets, ide, report)
     print(f"inverse engine trained ({cfg.settings.epochs_ide} epochs) -> {cfg.out_dir / IDE_FILE}")
-    print(f"ide_val_mse: {val:.6g}")
-    return {"ide_val_mse": val}
+    print(f"ide_val_mse: {report.best_val_loss:.6g}")
+    return {"ide_val_mse": report.best_val_loss}
 
 
 def _load_models(cfg: RunConfig):
@@ -258,11 +234,7 @@ def _load_models(cfg: RunConfig):
     ide = engines.load_ide(_require(cfg.out_dir / IDE_FILE, "train-ide"))
     _check_digest(cfg, fse.scene_digest, "surrogate")
     if ide.fse_digest != fse.digest():
-        msg = "inverse engine was trained against a different surrogate"
-        if cfg.force:
-            logger.warning("%s (continuing due to --force)", msg)
-        else:
-            raise CliError(msg + " (use --force to proceed)", EXIT_CONFIG)
+        _refuse_unless_forced(cfg, "inverse engine was trained against a different surrogate")
     return fse, ide
 
 
@@ -271,26 +243,13 @@ def cmd_eval(cfg: RunConfig) -> dict:
     fse, ide = _load_models(cfg)
     targets_path = _require(cfg.out_dir / TARGETS_FILE, "train-ide")
     targets = dataio.load_targets(targets_path)
-    expected_target_seed = derive_seed(cfg.seed, evalkit.SEED_TARGETS)
-    if targets.seed != expected_target_seed:
-        msg = ("targets file was generated under a different --seed; "
-               "the held-out split would not match training")
-        if cfg.force:
-            logger.warning("%s (continuing due to --force)", msg)
-        else:
-            raise CliError(msg + " (use --force to proceed)", EXIT_CONFIG)
-    _, _, t_test = dataio.split(
-        targets, cfg.settings.target_split, derive_seed(cfg.seed, evalkit.SEED_TARGET_SPLIT)
-    )
-    result = engines.closed_loop_eval(
-        ide, fse, scene, t_test,
-        noise_seed=derive_seed(cfg.seed, evalkit.SEED_EVAL_NOISE),
-        threads=cfg.settings.threads,
-    )
+    if targets.seed != derive_seed(cfg.seed, evalkit.SEED_TARGETS):
+        _refuse_unless_forced(cfg, "targets file was generated under a different --seed; "
+                                   "the held-out split would not match training")
+    result, gap = evalkit.stage_eval(ide, fse, scene, targets, cfg.settings, cfg.seed)
     evalkit.export_scatter(result.table, cfg.out_dir / EVAL_FILE, _provenance(cfg, scene))
-    gap = engines.soft_hard_gap_rms(ide, fse, t_test)
     lines = [
-        f"eval_targets: {len(t_test)}",
+        f"eval_targets: {len(result.table)}",
         "mse_predicted: " + ",".join(f"{v:.6g}" for v in result.mse_predicted),
         "mse_measured: " + ",".join(f"{v:.6g}" for v in result.mse_measured),
         f"soft_hard_gap_rms: {gap:.6g}",
@@ -318,12 +277,9 @@ def cmd_special_cases(cfg: RunConfig) -> dict:
 
 def cmd_adapt(cfg: RunConfig) -> dict:
     report = evalkit.run_adaptation_study(cfg.scene, cfg.scene_b, cfg.settings, cfg.seed)
-    evalkit.export_scatter(
-        report.stale_table, cfg.out_dir / ADAPT_STALE_FILE, _provenance(cfg, cfg.scene_b)
-    )
-    evalkit.export_scatter(
-        report.retrained_table, cfg.out_dir / ADAPT_RETRAINED_FILE, _provenance(cfg, cfg.scene_b)
-    )
+    prov = _provenance(cfg, cfg.scene_b)
+    evalkit.export_scatter(report.stale_table, cfg.out_dir / ADAPT_STALE_FILE, prov)
+    evalkit.export_scatter(report.retrained_table, cfg.out_dir / ADAPT_RETRAINED_FILE, prov)
     lines = [
         "baseline_mse: " + ",".join(f"{v:.6g}" for v in report.baseline_mse),
         "stale_mse: " + ",".join(f"{v:.6g}" for v in report.stale_mse),
@@ -347,12 +303,9 @@ def cmd_pipeline(cfg: RunConfig) -> dict:
     scene = _effective_scene(cfg)
     result = evalkit.run_pipeline(scene, cfg.settings, cfg.seed)
     prov = _provenance(cfg, scene)
-    dataio.save_scatter(result.dataset, cfg.out_dir / DATASET_FILE)
-    save_scene(scene, cfg.out_dir / "scene.json")
-    engines.save_fse(result.fse, cfg.out_dir / FSE_FILE)
-    engines.save_ide(result.ide, cfg.out_dir / IDE_FILE)
-    evalkit.export_history(result.fse_report, cfg.out_dir / FSE_HISTORY_FILE, prov)
-    evalkit.export_history(result.ide_report, cfg.out_dir / IDE_HISTORY_FILE, prov)
+    _save_dataset(cfg, scene, result.dataset)
+    _save_fse(cfg, scene, result.fse, result.fse_report)
+    _save_ide(cfg, scene, result.targets, result.ide, result.ide_report)
     evalkit.export_scatter(result.eval_result.table, cfg.out_dir / EVAL_FILE, prov)
     evalkit.export_scatter(result.special_table, cfg.out_dir / SPECIAL_FILE, prov)
 
@@ -413,7 +366,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.exit_code
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -8,8 +8,7 @@ indices (lossless), floats as shortest-round-trip decimals.
 
 All randomness flows from explicit integer seeds; per-record noise seeds are
 derived deterministically from the collection seed and the record index, so
-records may be simulated in any order (or concurrently) without changing the
-result.
+each record is reproducible on its own.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ import hashlib
 import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
-from .scene import STATE_COUNT, Scene, column_weights, scene_digest, transfer_matrix
+from .scene import STATE_COUNT, Scene, measure, scene_digest
 
 logger = logging.getLogger(__name__)
 
@@ -158,41 +156,21 @@ TARGET_SPLIT = SplitSpec(0.84375, 0.09375, 0.0625)
 _NOISE_KEY = 7001  # namespaces per-record noise seeds under the collection seed
 
 
-def collect(scene: Scene, count: int, seed: int, threads: int = 1) -> ScatterDataset:
+def collect(scene: Scene, count: int, seed: int) -> ScatterDataset:
     """Simulate ``count`` uniformly random profiles and normalize by the max.
 
     Profiles are drawn i.i.d. uniform over the 8^columns state space. Each
     record gets its own derived noise seed (skipped when the scene is
-    noiseless), so the dataset is reproducible from (scene, count, seed)
-    regardless of execution order or thread count.
+    noiseless), so the dataset is reproducible from (scene, count, seed).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     profiles = rng.integers(0, STATE_COUNT, size=(count, scene.column_count))
-
-    t = transfer_matrix(scene)
-    noisy = scene.noise_sigma > 0.0
-
-    def run(i: int) -> np.ndarray:
-        fields = t @ column_weights(scene, profiles[i])
-        intensities = np.abs(fields) ** 2
-        if noisy:
-            nrng = np.random.default_rng(derive_seed(seed, _NOISE_KEY, i))
-            intensities = intensities * (
-                1.0 + scene.noise_sigma * nrng.standard_normal(scene.probe_count)
-            )
-            intensities = np.maximum(intensities, 0.0)
-        return intensities
-
-    raw = np.empty((count, scene.probe_count))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, result in enumerate(pool.map(run, range(count))):
-                raw[i] = result
-    else:
-        for i in range(count):
-            raw[i] = run(i)
+    noise_seeds = None
+    if scene.noise_sigma > 0.0:
+        noise_seeds = [derive_seed(seed, _NOISE_KEY, i) for i in range(count)]
+    raw = measure(scene, profiles, noise_seeds)
 
     ds = ScatterDataset(
         profiles=profiles,
@@ -210,9 +188,8 @@ def collect(scene: Scene, count: int, seed: int, threads: int = 1) -> ScatterDat
     return ds
 
 
-def split(dataset, spec: SplitSpec, seed: int):
-    """Seeded shuffle then contiguous cut; sizes round(f*n) with remainder to test."""
-    n = len(dataset)
+def split_sizes(n: int, spec: SplitSpec):
+    """(train, val, test) sizes: round(f*n) each, remainder to test, none empty."""
     if n < 3:
         raise ValueError("dataset too small to split three ways")
     n_train = int(round(spec.train_fraction * n))
@@ -220,6 +197,13 @@ def split(dataset, spec: SplitSpec, seed: int):
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"empty partition for n={n} and {spec}")
+    return n_train, n_val, n_test
+
+
+def split(dataset, spec: SplitSpec, seed: int):
+    """Seeded shuffle then contiguous cut at ``split_sizes``."""
+    n = len(dataset)
+    n_train, n_val, _ = split_sizes(n, spec)
     perm = np.random.default_rng(seed).permutation(n)
     return (
         dataset.subset(perm[:n_train]),
@@ -280,6 +264,13 @@ def _parse_json_line(path, line_no: int, text: str) -> dict:
     return obj
 
 
+def _header_positive_int(path, header: dict, key: str) -> int:
+    value = header.get(key)
+    if not isinstance(value, int) or value < 1:
+        raise DatasetFormatError(path, 1, f"header {key} must be a positive integer")
+    return value
+
+
 def _read_records(path, f, expected_format: str):
     first = f.readline()
     if not first.strip():
@@ -289,9 +280,7 @@ def _read_records(path, f, expected_format: str):
         raise DatasetFormatError(path, 1, f"not a {expected_format} file")
     if header.get("version") != FORMAT_VERSION:
         raise DatasetFormatError(path, 1, f"unsupported version {header.get('version')!r}")
-    count = header.get("count")
-    if not isinstance(count, int) or count < 1:
-        raise DatasetFormatError(path, 1, "header count must be a positive integer")
+    count = _header_positive_int(path, header, "count")
     records = []
     for i in range(count):
         line_no = i + 2
@@ -313,7 +302,7 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
     """
     with open(path, "r", encoding="utf-8") as f:
         header, records = _read_records(path, f, SCATTER_FORMAT)
-    cols = header.get("column_count")
+    cols = _header_positive_int(path, header, "column_count")
     profiles = np.empty((len(records), cols), dtype=int)
     raw = np.empty((len(records), len(records[0].get("raw", []))))
     for i, rec in enumerate(records):

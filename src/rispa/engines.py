@@ -28,9 +28,8 @@ from .quantizer import (
     ide_output_to_angles,
     quantize_hard,
     quantize_soft_with_grad,
-    state_center_deg,
 )
-from .scene import Scene, state_phases_deg, simulate
+from .scene import Scene, measure, state_phases_deg
 
 FSE_HIDDEN = (100, 100)
 IDE_HIDDEN = (50, 50)
@@ -245,30 +244,20 @@ def train_ide(
     return model, report
 
 
-def infer_design(ide: IdeModel, target) -> np.ndarray:
-    """Deployable discrete profile for one target triple.
+def design_batch(ide: IdeModel, targets: np.ndarray) -> np.ndarray:
+    """Deployable hard-quantized profiles, one row per row of ``targets``.
 
     Out-of-range targets warn but are still designed (the target range is a
     reachability envelope, not a hard constraint); non-finite targets error.
     """
-    target = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target contains non-finite values")
-    if np.any(target < ide.target_low) or np.any(target > ide.target_high):
-        warnings.warn(
-            f"target {target.tolist()} outside trained range "
-            f"[{ide.target_low}, {ide.target_high}]",
-            stacklevel=2,
-        )
-    raw = neural.forward(ide.mlp, target)
-    return np.asarray(quantize_hard(ide_output_to_angles(raw), ide.quantizer))
-
-
-def design_batch(ide: IdeModel, targets: np.ndarray) -> np.ndarray:
-    """Hard-quantized profiles for a (n, probes) target array; no range warning."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if not np.all(np.isfinite(targets)):
         raise ValueError("targets contain non-finite values")
+    if np.any(targets < ide.target_low) or np.any(targets > ide.target_high):
+        warnings.warn(
+            f"targets outside trained range [{ide.target_low}, {ide.target_high}]",
+            stacklevel=2,
+        )
     raw = neural.forward(ide.mlp, targets)
     return np.asarray(quantize_hard(ide_output_to_angles(raw), ide.quantizer))
 
@@ -293,7 +282,6 @@ def closed_loop_eval(
     scene: Scene,
     targets: TargetDataset,
     noise_seed: Optional[int] = None,
-    threads: int = 1,
 ) -> EvalResult:
     """Design every target, replay the designs on the scene, and score both paths.
 
@@ -305,6 +293,8 @@ def closed_loop_eval(
 
     if len(targets) == 0:
         raise ValueError("empty target set")
+    if not fse.i_max > 0.0:
+        raise ValueError("i_max must be positive")
     if ide.fse_digest and ide.fse_digest != fse.digest():
         warnings.warn("inverse network was trained against a different surrogate", stacklevel=2)
 
@@ -312,21 +302,10 @@ def closed_loop_eval(
     profiles = design_batch(ide, t)
     predicted = fse_predict(fse, profiles)
 
-    def measure(i: int) -> np.ndarray:
-        ns = None
-        if noise_seed is not None and scene.noise_sigma > 0.0:
-            ns = derive_seed(noise_seed, i)
-        return simulate(scene, profiles[i], fse.i_max, noise_seed=ns)
-
-    measured = np.empty_like(t)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, row in enumerate(pool.map(measure, range(len(t)))):
-                measured[i] = row
-    else:
-        for i in range(len(t)):
-            measured[i] = measure(i)
+    noise_seeds = None
+    if noise_seed is not None and scene.noise_sigma > 0.0:
+        noise_seeds = [derive_seed(noise_seed, i) for i in range(len(t))]
+    measured = measure(scene, profiles, noise_seeds) / fse.i_max
 
     return EvalResult(
         table=np.hstack([t, predicted, measured]),
@@ -345,7 +324,7 @@ def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, targets: TargetDataset) -> f
     raw = neural.forward(ide.mlp, targets.targets)
     angles = ide_output_to_angles(raw)
     soft, _ = quantize_soft_with_grad(angles, ide.quantizer)
-    hard = state_center_deg(quantize_hard(angles, ide.quantizer), ide.quantizer)
+    hard = state_phases_deg(quantize_hard(angles, ide.quantizer))
     pred_soft = neural.forward(fse.mlp, encode_phases(soft))
     pred_hard = neural.forward(fse.mlp, encode_phases(hard))
     return float(np.sqrt(np.mean((pred_soft - pred_hard) ** 2)))

@@ -1,7 +1,8 @@
 """Experiment narratives: full pipeline runs, special cases, obstacle adaptation.
 
-Everything here orchestrates the scene/dataio/engines stages into the three
-stories the artifact exists to tell: (1) train a surrogate and an inverse
+The four stages (collect, train-FSE, train-IDE, eval) are defined once here;
+the CLI, ``run_pipeline`` and the adaptation study all compose them into the
+three stories the artifact exists to tell: (1) train a surrogate and an inverse
 designer from "measured" data and score them closed-loop, (2) hit the named
 power-allocation patterns, (3) degrade the system with an obstacle and show
 that on-site re-collection plus retraining restores it.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,7 +46,7 @@ SCATTER_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Stage hyperparameters for one end-to-end run."""
+    """Stage hyperparameters for one end-to-end run; rejected up front if unusable."""
 
     profile_count: int
     target_count: int
@@ -61,7 +62,22 @@ class PipelineSettings:
     target_high: float = dataio.DEFAULT_TARGET_HIGH
     scatter_split: SplitSpec = SCATTER_SPLIT
     target_split: SplitSpec = TARGET_SPLIT
-    threads: int = 1
+
+    def __post_init__(self):
+        dataio.split_sizes(self.profile_count, self.scatter_split)
+        dataio.split_sizes(self.target_count, self.target_split)
+        for name in ("epochs_fse", "epochs_ide", "batch_fse", "batch_ide"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("lr_fse", "lr_ide"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.temperature > 0.0:
+            raise ValueError("temperature must be positive")
+        if self.noise_sigma is not None and self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be >= 0")
+        if not self.target_low < self.target_high:
+            raise ValueError("target_low must be < target_high")
 
 
 def desk_settings() -> PipelineSettings:
@@ -114,6 +130,67 @@ def _apply_noise_override(scene: Scene, settings: PipelineSettings) -> Scene:
     return dataclasses.replace(scene, noise_sigma=settings.noise_sigma)
 
 
+# ---------------------------------------------------------------------------
+# Stages: each maps (inputs, settings, seed, stage key) to its artifacts
+# ---------------------------------------------------------------------------
+
+def stage_collect(scene: Scene, settings: PipelineSettings, seed: int,
+                  key: int = SEED_COLLECT) -> dataio.ScatterDataset:
+    return dataio.collect(scene, settings.profile_count, derive_seed(seed, key))
+
+
+def stage_train_fse(dataset: dataio.ScatterDataset, settings: PipelineSettings, seed: int,
+                    key: int = SEED_FSE, init=None):
+    """Split the measurements, fit the surrogate; returns (fse, report, test MSE)."""
+    d_train, d_val, d_test = dataio.split(
+        dataset, settings.scatter_split, derive_seed(seed, SEED_SCATTER_SPLIT)
+    )
+    fse, report = engines.train_fse(
+        d_train, d_val,
+        epochs=settings.epochs_fse,
+        learning_rate=settings.lr_fse,
+        batch_size=settings.batch_fse,
+        seed=derive_seed(seed, key),
+        init=init,
+    )
+    test_pred = engines.fse_predict(fse, d_test.profiles)
+    test_mse = float(np.mean((test_pred - d_test.normalized) ** 2))
+    logger.info("surrogate test MSE %.5g on %d held-out records", test_mse, len(d_test))
+    return fse, report, test_mse
+
+
+def target_splits(targets: dataio.TargetDataset, settings: PipelineSettings, seed: int):
+    return dataio.split(targets, settings.target_split, derive_seed(seed, SEED_TARGET_SPLIT))
+
+
+def stage_train_ide(fse: FseModel, settings: PipelineSettings, seed: int,
+                    key: int = SEED_IDE, init=None):
+    """Generate and split the targets, train through ``fse``; returns (targets, ide, report)."""
+    targets = dataio.generate_targets(
+        settings.target_count, settings.target_low, settings.target_high,
+        seed=derive_seed(seed, SEED_TARGETS),
+    )
+    t_train, t_val, _ = target_splits(targets, settings, seed)
+    ide, report = engines.train_ide(
+        fse, t_train, t_val,
+        epochs=settings.epochs_ide,
+        learning_rate=settings.lr_ide,
+        batch_size=settings.batch_ide,
+        seed=derive_seed(seed, key),
+        qcfg=QuantizerConfig(temperature=settings.temperature),
+        init=init,
+    )
+    return targets, ide, report
+
+
+def stage_eval(ide: IdeModel, fse: FseModel, scene: Scene, targets: dataio.TargetDataset,
+               settings: PipelineSettings, seed: int, key: int = SEED_EVAL_NOISE):
+    """Closed-loop scores and soft/hard gap on the held-out targets; returns (result, gap)."""
+    t_test = target_splits(targets, settings, seed)[2]
+    result = engines.closed_loop_eval(ide, fse, scene, t_test, noise_seed=derive_seed(seed, key))
+    return result, engines.soft_hard_gap_rms(ide, fse, t_test)
+
+
 @dataclass
 class PipelineResult:
     fse: FseModel
@@ -122,6 +199,7 @@ class PipelineResult:
     ide_report: TrainReport
     fse_test_mse: float
     dataset: dataio.ScatterDataset
+    targets: dataio.TargetDataset
     target_splits: tuple          # (train, val, test) TargetDataset
     eval_result: EvalResult
     special_table: np.ndarray     # (3, 9)
@@ -140,56 +218,17 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
     scene = _apply_noise_override(scene, settings)
     timings = {}
 
-    t0 = time.perf_counter()
-    dataset = dataio.collect(
-        scene, settings.profile_count, derive_seed(seed, SEED_COLLECT), threads=settings.threads
-    )
-    timings["collect"] = time.perf_counter() - t0
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        timings[stage] = time.perf_counter() - t0
+        return out
 
-    d_train, d_val, d_test = dataio.split(
-        dataset, settings.scatter_split, derive_seed(seed, SEED_SCATTER_SPLIT)
-    )
-    t0 = time.perf_counter()
-    fse, fse_report = engines.train_fse(
-        d_train, d_val,
-        epochs=settings.epochs_fse,
-        learning_rate=settings.lr_fse,
-        batch_size=settings.batch_fse,
-        seed=derive_seed(seed, SEED_FSE),
-    )
-    timings["train_fse"] = time.perf_counter() - t0
-    test_pred = engines.fse_predict(fse, d_test.profiles)
-    fse_test_mse = float(np.mean((test_pred - d_test.normalized) ** 2))
-    logger.info("surrogate test MSE %.5g on %d held-out records", fse_test_mse, len(d_test))
-
-    targets = dataio.generate_targets(
-        settings.target_count, settings.target_low, settings.target_high,
-        seed=derive_seed(seed, SEED_TARGETS),
-    )
-    t_train, t_val, t_test = dataio.split(
-        targets, settings.target_split, derive_seed(seed, SEED_TARGET_SPLIT)
-    )
-    t0 = time.perf_counter()
-    ide, ide_report = engines.train_ide(
-        fse, t_train, t_val,
-        epochs=settings.epochs_ide,
-        learning_rate=settings.lr_ide,
-        batch_size=settings.batch_ide,
-        seed=derive_seed(seed, SEED_IDE),
-        qcfg=QuantizerConfig(temperature=settings.temperature),
-    )
-    timings["train_ide"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    eval_result = engines.closed_loop_eval(
-        ide, fse, scene, t_test,
-        noise_seed=derive_seed(seed, SEED_EVAL_NOISE),
-        threads=settings.threads,
-    )
-    timings["eval"] = time.perf_counter() - t0
-
+    dataset = timed("collect", stage_collect, scene, settings, seed)
+    fse, fse_report, fse_test_mse = timed("train_fse", stage_train_fse, dataset, settings, seed)
+    targets, ide, ide_report = timed("train_ide", stage_train_ide, fse, settings, seed)
+    eval_result, gap = timed("eval", stage_eval, ide, fse, scene, targets, settings, seed)
     _, special_table = run_special_cases(ide, fse, scene)
-    gap = engines.soft_hard_gap_rms(ide, fse, t_test)
 
     return PipelineResult(
         fse=fse,
@@ -198,7 +237,8 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
         ide_report=ide_report,
         fse_test_mse=fse_test_mse,
         dataset=dataset,
-        target_splits=(t_train, t_val, t_test),
+        targets=targets,
+        target_splits=target_splits(targets, settings, seed),
         eval_result=eval_result,
         special_table=special_table,
         soft_hard_gap=gap,
@@ -262,53 +302,25 @@ def run_adaptation_study(
     scene_with = _apply_noise_override(scene_with, settings)
 
     base = run_pipeline(scene_without, settings, seed)
-    t_test = base.target_splits[2]
-
-    stale = engines.closed_loop_eval(
-        base.ide, base.fse, scene_with, t_test,
-        noise_seed=derive_seed(seed, SEED_EVAL_NOISE),
-        threads=settings.threads,
-    )
+    stale, _ = stage_eval(base.ide, base.fse, scene_with, base.targets, settings, seed)
     logger.info(
         "stale per-probe MSE on changed scene: %s",
         ", ".join(f"{v:.4g}" for v in stale.mse_measured),
     )
 
     t0 = time.perf_counter()
-    new_data = dataio.collect(
-        scene_with, settings.profile_count, derive_seed(seed, SEED_RECOLLECT),
-        threads=settings.threads,
-    )
+    new_data = stage_collect(scene_with, settings, seed, key=SEED_RECOLLECT)
     collect_seconds = time.perf_counter() - t0
 
-    n_train, n_val, _ = dataio.split(
-        new_data, settings.scatter_split, derive_seed(seed, SEED_SCATTER_SPLIT)
-    )
     t0 = time.perf_counter()
-    new_fse, _ = engines.train_fse(
-        n_train, n_val,
-        epochs=settings.epochs_fse,
-        learning_rate=settings.lr_fse,
-        batch_size=settings.batch_fse,
-        seed=derive_seed(seed, SEED_REFSE),
-        init=base.fse.mlp if warm_start else None,
-    )
-    new_ide, _ = engines.train_ide(
-        new_fse, base.target_splits[0], base.target_splits[1],
-        epochs=settings.epochs_ide,
-        learning_rate=settings.lr_ide,
-        batch_size=settings.batch_ide,
-        seed=derive_seed(seed, SEED_REIDE),
-        qcfg=QuantizerConfig(temperature=settings.temperature),
-        init=base.ide.mlp if warm_start else None,
-    )
+    new_fse, _, _ = stage_train_fse(new_data, settings, seed, key=SEED_REFSE,
+                                    init=base.fse.mlp if warm_start else None)
+    _, new_ide, _ = stage_train_ide(new_fse, settings, seed, key=SEED_REIDE,
+                                    init=base.ide.mlp if warm_start else None)
     train_seconds = time.perf_counter() - t0
 
-    retrained = engines.closed_loop_eval(
-        new_ide, new_fse, scene_with, t_test,
-        noise_seed=derive_seed(seed, SEED_REEVAL_NOISE),
-        threads=settings.threads,
-    )
+    retrained, _ = stage_eval(new_ide, new_fse, scene_with, base.targets, settings, seed,
+                              key=SEED_REEVAL_NOISE)
     logger.info(
         "retrained per-probe MSE: %s (collect %.1fs, retrain %.1fs)",
         ", ".join(f"{v:.4g}" for v in retrained.mse_measured),
@@ -337,11 +349,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _open_out(path):
+def _write_csv(path, header, rows, provenance: Optional[dict]) -> None:
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        f = open(path, "w", encoding="utf-8", newline="")
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
+    with f:
+        if provenance:
+            f.write("# " + " ".join(f"{k}={v}" for k, v in provenance.items()) + "\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def export_scatter(table: np.ndarray, path, provenance: Optional[dict] = None) -> None:
@@ -355,24 +373,15 @@ def export_scatter(table: np.ndarray, path, provenance: Optional[dict] = None) -
         raise ValueError("refusing to export an empty table")
     if table.ndim != 2 or table.shape[1] != len(SCATTER_CSV_COLUMNS):
         raise ValueError(f"table must have {len(SCATTER_CSV_COLUMNS)} columns")
-    with _open_out(path) as f:
-        if provenance:
-            f.write("# " + " ".join(f"{k}={v}" for k, v in provenance.items()) + "\n")
-        f.write(",".join(SCATTER_CSV_COLUMNS) + "\n")
-        for row in table:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, SCATTER_CSV_COLUMNS, table, provenance)
 
 
 def export_history(report: TrainReport, path, provenance: Optional[dict] = None) -> None:
     """Write per-epoch loss history as CSV (epoch, train_mse, val_mse)."""
     if len(report.train_losses) == 0:
         raise ValueError("refusing to export an empty history")
-    with _open_out(path) as f:
-        if provenance:
-            f.write("# " + " ".join(f"{k}={v}" for k, v in provenance.items()) + "\n")
-        f.write("epoch,train_mse,val_mse\n")
-        for i, (tr, va) in enumerate(zip(report.train_losses, report.val_losses)):
-            f.write(f"{i},{_fmt(tr)},{_fmt(va)}\n")
+    rows = zip(range(len(report.train_losses)), report.train_losses, report.val_losses)
+    _write_csv(path, ("epoch", "train_mse", "val_mse"), rows, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -381,65 +390,33 @@ def export_history(report: TrainReport, path, provenance: Optional[dict] = None)
 
 @dataclass
 class EvalSummary:
-    """Flattened metrics of one pipeline run, for stdout and the summary file."""
+    """The metrics of one pipeline run, as printed and written to the summary file."""
 
-    seed: int
+    result: PipelineResult
     scene_hash: str
-    mse_predicted: np.ndarray
-    mse_measured: np.ndarray
-    fse_val_mse: float
-    fse_test_mse: float
-    ide_val_mse: float
-    soft_hard_gap: float
-    fraction_below: np.ndarray
-    special_table: np.ndarray
-    timings: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         def vec(v):
             return ",".join(_fmt(x) for x in np.asarray(v).ravel())
 
+        r = self.result
         lines = [
-            f"seed: {self.seed}",
+            f"seed: {r.seed}",
             f"scene_digest: {self.scene_hash}",
-            f"fse_val_mse: {_fmt(self.fse_val_mse)}",
-            f"fse_test_mse: {_fmt(self.fse_test_mse)}",
-            f"ide_val_mse: {_fmt(self.ide_val_mse)}",
-            f"mse_predicted: {vec(self.mse_predicted)}",
-            f"mse_measured: {vec(self.mse_measured)}",
-            f"soft_hard_gap_rms: {_fmt(self.soft_hard_gap)}",
-            f"fraction_below_0.6: {vec(self.fraction_below)}",
+            f"fse_val_mse: {_fmt(r.fse_report.best_val_loss)}",
+            f"fse_test_mse: {_fmt(r.fse_test_mse)}",
+            f"ide_val_mse: {_fmt(r.ide_report.best_val_loss)}",
+            f"mse_predicted: {vec(r.eval_result.mse_predicted)}",
+            f"mse_measured: {vec(r.eval_result.mse_measured)}",
+            f"soft_hard_gap_rms: {_fmt(r.soft_hard_gap)}",
+            f"fraction_below_0.6: {vec(r.fraction_below)}",
         ]
-        for (name, _), row in zip(SPECIAL_CASES, self.special_table):
+        for (name, _), row in zip(SPECIAL_CASES, r.special_table):
             lines.append(f"special_{name}_measured: {vec(row[6:9])}")
-        for stage, secs in self.timings.items():
+        for stage, secs in r.timings.items():
             lines.append(f"{stage}_seconds: {secs:.2f}")
         return "\n".join(lines) + "\n"
 
 
 def summarize(result: PipelineResult, scene: Scene) -> EvalSummary:
-    best = result.ide_report.best_epoch
-    ide_val = (
-        result.ide_report.val_losses[best]
-        if 0 <= best < len(result.ide_report.val_losses)
-        else float("nan")
-    )
-    fbest = result.fse_report.best_epoch
-    fse_val = (
-        result.fse_report.val_losses[fbest]
-        if 0 <= fbest < len(result.fse_report.val_losses)
-        else float("nan")
-    )
-    return EvalSummary(
-        seed=result.seed,
-        scene_hash=scene_digest(scene),
-        mse_predicted=result.eval_result.mse_predicted,
-        mse_measured=result.eval_result.mse_measured,
-        fse_val_mse=fse_val,
-        fse_test_mse=result.fse_test_mse,
-        ide_val_mse=ide_val,
-        soft_hard_gap=result.soft_hard_gap,
-        fraction_below=result.fraction_below,
-        special_table=result.special_table,
-        timings=dict(result.timings),
-    )
+    return EvalSummary(result=result, scene_hash=scene_digest(scene))

@@ -234,6 +234,13 @@ class TrainReport:
     elapsed_seconds: float
     seed: int
 
+    @property
+    def best_val_loss(self) -> float:
+        """Validation loss of the best epoch; NaN when no epoch was scored."""
+        if 0 <= self.best_epoch < len(self.val_losses):
+            return self.val_losses[self.best_epoch]
+        return float("nan")
+
 
 def _supervised_loss(mlp: Mlp, x, y) -> float:
     return mse(forward(mlp, x), y)

@@ -97,10 +97,6 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig())
     return out, grad
 
 
-def state_center_deg(index, cfg: QuantizerConfig = QuantizerConfig()):
-    return np.asarray(index) * cfg.step_degrees
-
-
 def ide_output_to_angles(raw):
     """Interpret raw network outputs directly as degrees, wrapped to [0, 360).
 

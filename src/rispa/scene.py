@@ -206,8 +206,8 @@ def transfer_matrix(scene: Scene) -> np.ndarray:
     """Complex (probes x columns) map from column excitations to probe fields.
 
     T[p, i] = G(feed, r_i) * [ G(r_i, probe_p) + sum_q G(r_i, q) c_q G(q, probe_p) ],
-    with G(a, b) = exp(-jk|a-b|)/|a-b|. Purely geometric: computing it once per
-    scene lets bulk collection run as a single matrix product.
+    with G(a, b) = exp(-jk|a-b|)/|a-b|. Purely geometric, so ``measure``
+    computes it once for a whole batch of profiles.
     """
     k = scene.wavenumber
     cols = column_positions(scene)
@@ -228,23 +228,34 @@ def column_weights(scene: Scene, states: np.ndarray) -> np.ndarray:
     return scene.amplitude_table[states] * np.exp(1j * phases)
 
 
+def measure(scene: Scene, profiles, noise_seeds=None) -> np.ndarray:
+    """Raw probe intensities, one row per profile, from one transfer matrix.
+
+    With ``noise_seeds``, row i is multiplied by (1 + noise_sigma * n), n drawn
+    standard normal from ``default_rng(noise_seeds[i])``, then clamped at zero.
+    Rows are computed one at a time because one (n, N) @ (N, P) product rounds
+    differently in the last bits.
+    """
+    t = transfer_matrix(scene)
+    out = np.empty((len(profiles), scene.probe_count))
+    for i, profile in enumerate(profiles):
+        intensities = np.abs(t @ column_weights(scene, profile)) ** 2
+        if noise_seeds is not None:
+            rng = np.random.default_rng(noise_seeds[i])
+            intensities = intensities * (1.0 + scene.noise_sigma * rng.standard_normal(scene.probe_count))
+            intensities = np.maximum(intensities, 0.0)
+        out[i] = intensities
+    return out
+
+
 def simulate_raw(scene: Scene, profile, noise_seed: Optional[int] = None) -> np.ndarray:
     """Raw (unnormalized) probe intensities for one phase profile.
 
-    When ``noise_seed`` is given, each intensity is multiplied by
-    (1 + noise_sigma * n) with n drawn standard normal from the seeded
-    generator, then clamped at zero. Identical (scene, profile, seed) inputs
-    produce bit-identical output.
+    ``noise_seed`` applies the measurement noise of ``measure``. Identical
+    (scene, profile, seed) inputs produce bit-identical output.
     """
     states = validate_profile(scene, profile)
-    t = transfer_matrix(scene)
-    fields = t @ column_weights(scene, states)
-    intensities = np.abs(fields) ** 2
-    if noise_seed is not None:
-        rng = np.random.default_rng(noise_seed)
-        intensities = intensities * (1.0 + scene.noise_sigma * rng.standard_normal(scene.probe_count))
-        intensities = np.maximum(intensities, 0.0)
-    return intensities
+    return measure(scene, states[None], None if noise_seed is None else [noise_seed])[0]
 
 
 def simulate(scene: Scene, profile, i_max: float, noise_seed: Optional[int] = None) -> np.ndarray:

@@ -1,7 +1,10 @@
 """CLI contract: stage chaining, dependency errors, digests, determinism."""
 
+import json
 import subprocess
 import sys
+
+import pytest
 
 from rispa import cli
 from rispa.scene import default_scene, save_scene
@@ -42,6 +45,48 @@ def test_stagewise_chain_matches_contract(tmp_path):
     assert run_cli(["special-cases", "--seed", "5", *TINY], tmp_path) == 0
     assert (tmp_path / "eval.csv").exists()
     assert (tmp_path / "special_cases.csv").exists()
+
+
+def test_pipeline_matches_stagewise_chain(tmp_path):
+    piped, chained = tmp_path / "piped", tmp_path / "chained"
+    assert run_cli(["pipeline", "--seed", "5", *TINY], piped) == 0
+    for stage in ("collect", "train-fse", "train-ide", "eval", "special-cases"):
+        assert run_cli([stage, "--seed", "5", *TINY], chained) == 0
+    for name in ("dataset.jsonl", "targets.jsonl", "fse.json", "ide.json", "eval.csv",
+                 "special_cases.csv", "fse_history.csv", "ide_history.csv"):
+        assert (piped / name).read_bytes() == (chained / name).read_bytes(), name
+    assert run_cli(["eval", "--seed", "5", *TINY], piped) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--batch", "0"], ["--tau", "-1"], ["--profiles", "2"], ["--epochs-fse", "0"],
+    ["--lr-ide", "0"], ["--noise", "-0.1"],
+], ids=lambda flags: " ".join(flags))
+def test_bad_flag_fails_before_any_work(tmp_path, capsys, flags):
+    assert run_cli(["pipeline", *TINY, *flags], tmp_path) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
+def test_scatter_header_without_column_count_is_runtime_error(tmp_path, capsys):
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    path = tmp_path / "dataset.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    del header["column_count"]
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    assert run_cli(["train-fse", "--seed", "5", *TINY], tmp_path) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "dataset.jsonl:1:" in err and "column_count" in err
+
+
+def test_diverged_training_is_runtime_error(tmp_path, capsys):
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    code = run_cli(["train-fse", "--seed", "5", *TINY, "--lr-fse", "1e300"], tmp_path)
+    assert code == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: diverged") and "\n" not in err
+    assert not (tmp_path / "fse.json").exists()
 
 
 def test_train_ide_without_fse_is_dependency_error(tmp_path, capsys):
@@ -103,11 +148,11 @@ def test_adapt_command_runs_tiny(tmp_path):
     assert "stale_mse:" in text and "retrained_mse:" in text
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["collect", "--seed", "3", *TINY], a) == 0
-    assert run_cli(["collect", "--seed", "3", "--threads", "4", *TINY], b) == 0
-    assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
+def test_threads_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["collect", "--threads", "2", *TINY], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "dataset.jsonl").exists()
 
 
 def test_console_entry_point_help():
@@ -116,5 +161,5 @@ def test_console_entry_point_help():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    for flag in ("--scene", "--seed", "--preset", "--tau", "--threads", "--force"):
+    for flag in ("--scene", "--seed", "--preset", "--tau", "--force"):
         assert flag in proc.stdout

@@ -19,7 +19,7 @@ from rispa.dataio import (
     save_targets,
     split,
 )
-from rispa.scene import default_scene
+from rispa.scene import default_scene, simulate_raw
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +61,12 @@ def test_collect_normalization_invariants(small_dataset):
 
 def test_collect_noise_uses_per_record_seeds():
     scene = default_scene()  # noise_sigma 0.01
-    a = collect(scene, count=10, seed=77)
-    b = collect(scene, count=10, seed=77, threads=4)
-    # thread count must not change the result
-    assert np.array_equal(a.raw, b.raw)
+    ds = collect(scene, count=10, seed=77)
+    # each record replays alone under its own derived noise seed
+    for i, profile in enumerate(ds.profiles):
+        expected = simulate_raw(scene, profile, noise_seed=derive_seed(77, 7001, i))
+        assert np.array_equal(ds.raw[i], expected)
+    assert not np.array_equal(ds.raw[0], simulate_raw(scene, ds.profiles[0]))
 
 
 def test_collect_rejects_bad_count():

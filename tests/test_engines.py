@@ -12,7 +12,6 @@ from rispa.engines import (
     fse_layer_dims,
     fse_predict,
     ide_layer_dims,
-    infer_design,
     load_fse,
     load_ide,
     save_fse,
@@ -24,7 +23,7 @@ from rispa.engines import (
     train_ide,
 )
 from rispa.quantizer import QuantizerConfig
-from rispa.scene import default_scene
+from rispa.scene import default_scene, simulate
 
 
 def test_layer_dims_match_contract():
@@ -162,29 +161,29 @@ def test_train_ide_loss_decreases(tiny_tandem):
     assert report.train_losses[-1] < report.train_losses[0]
 
 
-def test_infer_design_contract(tiny_tandem):
+def test_design_batch_contract(tiny_tandem):
     _, _, ide, _, _ = tiny_tandem
-    a = infer_design(ide, [0.1, 0.2, 0.3])
-    b = infer_design(ide, [0.1, 0.2, 0.3])
+    a = design_batch(ide, [0.1, 0.2, 0.3])
+    b = design_batch(ide, [0.1, 0.2, 0.3])
     assert np.array_equal(a, b)
-    assert a.shape == (20,)
+    assert a.shape == (1, 20)
     assert a.dtype.kind == "i"
     assert np.all((a >= 0) & (a < 8))
 
     with pytest.warns(UserWarning, match="outside trained range"):
-        infer_design(ide, [0.9, 0.0, 0.0])
+        design_batch(ide, [[0.1, 0.2, 0.3], [0.9, 0.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite"):
-        infer_design(ide, [np.nan, 0.0, 0.0])
+        design_batch(ide, [[0.1, 0.2, 0.3], [np.nan, 0.0, 0.0]])
 
 
 def test_design_batch_matches_single(tiny_tandem):
     _, _, ide, _, targets = tiny_tandem
     batch = design_batch(ide, targets.targets[:4])
     for i in range(4):
-        assert np.array_equal(batch[i], infer_design(ide, targets.targets[i]))
+        assert np.array_equal(batch[i], design_batch(ide, targets.targets[i])[0])
 
 
-def test_closed_loop_eval_shapes_and_threads(tiny_tandem):
+def test_closed_loop_eval_shapes_and_noise_seeds(tiny_tandem):
     scene, fse, ide, _, targets = tiny_tandem
     sub = targets.subset(np.arange(10))
     res = closed_loop_eval(ide, fse, scene, sub)
@@ -192,8 +191,14 @@ def test_closed_loop_eval_shapes_and_threads(tiny_tandem):
     assert res.mse_measured.shape == (3,)
     assert np.all(res.mse_measured >= 0.0)
     assert np.array_equal(res.table[:, :3], sub.targets)
-    res4 = closed_loop_eval(ide, fse, scene, sub, threads=4)
-    assert np.array_equal(res.table, res4.table)
+    noisy = default_scene()  # noise_sigma 0.01
+    res_noisy = closed_loop_eval(ide, fse, noisy, sub, noise_seed=123)
+    assert np.array_equal(res_noisy.profiles, res.profiles)
+    for i, profile in enumerate(res.profiles):
+        assert np.array_equal(res.table[i, 6:], simulate(scene, profile, fse.i_max))
+        expected = simulate(noisy, profile, fse.i_max, noise_seed=dataio.derive_seed(123, i))
+        assert np.array_equal(res_noisy.table[i, 6:], expected)
+    assert not np.array_equal(res_noisy.table[:, 6:], res.table[:, 6:])
 
 
 def test_closed_loop_eval_rejects_empty_targets(tiny_tandem):

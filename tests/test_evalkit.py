@@ -1,6 +1,7 @@
 """Pipeline orchestration, CSV exports, and the adaptation-study mechanics."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_preset_hyperparameters():
         assert preset.temperature == 10.0
         assert preset.target_low == 0.0
         assert preset.target_high == 0.6
+
+
+@pytest.mark.parametrize("override", [
+    {"profile_count": 2}, {"target_count": 5}, {"epochs_fse": 0}, {"epochs_ide": 0},
+    {"batch_fse": 0}, {"batch_ide": -1}, {"lr_fse": 0.0}, {"lr_ide": float("inf")},
+    {"lr_fse": float("nan")}, {"temperature": 0.0}, {"temperature": -1.0},
+    {"noise_sigma": -0.01}, {"target_low": 0.6}, {"target_high": -0.1},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_settings_reject_unusable_values(override):
+    for preset in (desk_settings, paper_settings):
+        with pytest.raises(ValueError):
+            dataclasses.replace(preset(), **override)
+    with pytest.raises(ValueError):
+        tiny_settings(**override)
 
 
 @pytest.fixture(scope="module")

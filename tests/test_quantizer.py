@@ -11,8 +11,8 @@ from rispa.quantizer import (
     quantize_hard,
     quantize_soft,
     quantize_soft_with_grad,
-    state_center_deg,
 )
+from rispa.scene import state_phases_deg
 
 CFG = QuantizerConfig()
 
@@ -54,7 +54,7 @@ def test_hard_output_always_in_state_set():
 
 def test_hard_on_state_centers_is_identity():
     states = np.arange(8)
-    assert np.array_equal(quantize_hard(state_center_deg(states)), states)
+    assert np.array_equal(quantize_hard(state_phases_deg(states)), states)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _grid_excluding_ties():
 
 def test_monotone_refinement_as_tau_shrinks():
     grid = _grid_excluding_ties()
-    centers = state_center_deg(quantize_hard(grid))
+    centers = state_phases_deg(quantize_hard(grid))
     prev = np.inf
     for tau in (30.0, 10.0, 3.0, 1.0, 0.3):
         soft = quantize_soft(grid, QuantizerConfig(temperature=tau))
