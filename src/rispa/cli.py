@@ -222,7 +222,7 @@ def cmd_train_ide(cfg: RunConfig) -> dict:
     scene = _effective_scene(cfg)
     fse = engines.load_fse(_require(cfg.out_dir / FSE_FILE, "train-fse"))
     _check_digest(cfg, fse.scene_digest, "surrogate")
-    targets, ide, report = evalkit.stage_train_ide(fse, cfg.settings, cfg.seed)
+    targets, _, ide, report = evalkit.stage_train_ide(fse, cfg.settings, cfg.seed)
     _save_ide(cfg, scene, targets, ide, report)
     print(f"inverse engine trained ({cfg.settings.epochs_ide} epochs) -> {cfg.out_dir / IDE_FILE}")
     print(f"ide_val_mse: {report.best_val_loss:.6g}")
@@ -246,7 +246,9 @@ def cmd_eval(cfg: RunConfig) -> dict:
     if targets.seed != derive_seed(cfg.seed, evalkit.SEED_TARGETS):
         _refuse_unless_forced(cfg, "targets file was generated under a different --seed; "
                                    "the held-out split would not match training")
-    result, gap = evalkit.stage_eval(ide, fse, scene, targets, cfg.settings, cfg.seed)
+    t_test = evalkit.target_splits(targets, cfg.settings, cfg.seed)[2]
+    result = evalkit.stage_eval(ide, fse, scene, t_test, cfg.seed)
+    gap = engines.soft_hard_gap_rms(ide, fse, t_test)
     evalkit.export_scatter(result.table, cfg.out_dir / EVAL_FILE, _provenance(cfg, scene))
     lines = [
         f"eval_targets: {len(result.table)}",

@@ -91,10 +91,14 @@ def encode_phases(angles_deg) -> np.ndarray:
     return out
 
 
-def _encode_backward(angles_deg: np.ndarray, grad_encoded: np.ndarray) -> np.ndarray:
-    """Pull gradients from the cos/sin features back to angles in degrees."""
-    rad = np.radians(np.asarray(angles_deg, dtype=float))
-    g = (-np.sin(rad) * grad_encoded[..., 0::2] + np.cos(rad) * grad_encoded[..., 1::2])
+def _encode_backward(encoded: np.ndarray, grad_encoded: np.ndarray) -> np.ndarray:
+    """Pull gradients from the cos/sin features back to angles in degrees.
+
+    ``encoded`` is the ``encode_phases`` output, whose cos/sin columns are
+    exactly the derivative factors, so nothing is recomputed.
+    """
+    cos, sin = encoded[..., 0::2], encoded[..., 1::2]
+    g = -sin * grad_encoded[..., 0::2] + cos * grad_encoded[..., 1::2]
     return g * (np.pi / 180.0)
 
 
@@ -165,23 +169,25 @@ def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.n
 def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, y):
     """Batch-mean MSE through the frozen chain and its exact IDE gradients.
 
+    Each network runs forward once and its backward reads the recorded tape.
     Only the inverse network's parameter gradients are produced; the
     surrogate contributes its input gradient and is never updated.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    raw = neural.forward(ide_mlp, x)
+    ide_tape, fse_tape = [], []
+    raw = neural.forward(ide_mlp, x, ide_tape)
     angles = ide_output_to_angles(raw)
     soft, soft_grad = quantize_soft_with_grad(angles, qcfg)
     encoded = encode_phases(soft)
-    pred = neural.forward(fse_mlp, encoded)
+    pred = neural.forward(fse_mlp, encoded, fse_tape)
     loss = neural.mse(pred, y)
 
     g_pred = neural.mse_grad(pred, y)
-    g_encoded = neural.backward(fse_mlp, encoded, g_pred).inputs
-    g_soft = _encode_backward(soft, g_encoded)
+    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_tape, inputs_only=True).inputs
+    g_soft = _encode_backward(encoded, g_encoded)
     g_raw = g_soft * soft_grad  # wrap to degrees has unit gradient
-    g_ide = neural.backward(ide_mlp, x, g_raw)
+    g_ide = neural.backward(ide_mlp, x, g_raw, ide_tape)
     return loss, neural.grads_list(g_ide)
 
 

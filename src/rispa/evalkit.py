@@ -165,14 +165,14 @@ def target_splits(targets: dataio.TargetDataset, settings: PipelineSettings, see
 
 def stage_train_ide(fse: FseModel, settings: PipelineSettings, seed: int,
                     key: int = SEED_IDE, init=None):
-    """Generate and split the targets, train through ``fse``; returns (targets, ide, report)."""
+    """Generate and split targets, train through ``fse``; returns (targets, splits, ide, report)."""
     targets = dataio.generate_targets(
         settings.target_count, settings.target_low, settings.target_high,
         seed=derive_seed(seed, SEED_TARGETS),
     )
-    t_train, t_val, _ = target_splits(targets, settings, seed)
+    splits = target_splits(targets, settings, seed)
     ide, report = engines.train_ide(
-        fse, t_train, t_val,
+        fse, splits[0], splits[1],
         epochs=settings.epochs_ide,
         learning_rate=settings.lr_ide,
         batch_size=settings.batch_ide,
@@ -180,15 +180,13 @@ def stage_train_ide(fse: FseModel, settings: PipelineSettings, seed: int,
         qcfg=QuantizerConfig(temperature=settings.temperature),
         init=init,
     )
-    return targets, ide, report
+    return targets, splits, ide, report
 
 
-def stage_eval(ide: IdeModel, fse: FseModel, scene: Scene, targets: dataio.TargetDataset,
-               settings: PipelineSettings, seed: int, key: int = SEED_EVAL_NOISE):
-    """Closed-loop scores and soft/hard gap on the held-out targets; returns (result, gap)."""
-    t_test = target_splits(targets, settings, seed)[2]
-    result = engines.closed_loop_eval(ide, fse, scene, t_test, noise_seed=derive_seed(seed, key))
-    return result, engines.soft_hard_gap_rms(ide, fse, t_test)
+def stage_eval(ide: IdeModel, fse: FseModel, scene: Scene, t_test: dataio.TargetDataset,
+               seed: int, key: int = SEED_EVAL_NOISE) -> EvalResult:
+    """Closed-loop scores on ``t_test``, the held-out split of the training targets."""
+    return engines.closed_loop_eval(ide, fse, scene, t_test, noise_seed=derive_seed(seed, key))
 
 
 @dataclass
@@ -226,8 +224,8 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
 
     dataset = timed("collect", stage_collect, scene, settings, seed)
     fse, fse_report, fse_test_mse = timed("train_fse", stage_train_fse, dataset, settings, seed)
-    targets, ide, ide_report = timed("train_ide", stage_train_ide, fse, settings, seed)
-    eval_result, gap = timed("eval", stage_eval, ide, fse, scene, targets, settings, seed)
+    targets, splits, ide, ide_report = timed("train_ide", stage_train_ide, fse, settings, seed)
+    eval_result = timed("eval", stage_eval, ide, fse, scene, splits[2], seed)
     _, special_table = run_special_cases(ide, fse, scene)
 
     return PipelineResult(
@@ -238,10 +236,10 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
         fse_test_mse=fse_test_mse,
         dataset=dataset,
         targets=targets,
-        target_splits=target_splits(targets, settings, seed),
+        target_splits=splits,
         eval_result=eval_result,
         special_table=special_table,
-        soft_hard_gap=gap,
+        soft_hard_gap=engines.soft_hard_gap_rms(ide, fse, splits[2]),
         fraction_below=dataset.fraction_below(),
         timings=timings,
         seed=seed,
@@ -302,7 +300,8 @@ def run_adaptation_study(
     scene_with = _apply_noise_override(scene_with, settings)
 
     base = run_pipeline(scene_without, settings, seed)
-    stale, _ = stage_eval(base.ide, base.fse, scene_with, base.targets, settings, seed)
+    t_test = base.target_splits[2]
+    stale = stage_eval(base.ide, base.fse, scene_with, t_test, seed)
     logger.info(
         "stale per-probe MSE on changed scene: %s",
         ", ".join(f"{v:.4g}" for v in stale.mse_measured),
@@ -315,12 +314,11 @@ def run_adaptation_study(
     t0 = time.perf_counter()
     new_fse, _, _ = stage_train_fse(new_data, settings, seed, key=SEED_REFSE,
                                     init=base.fse.mlp if warm_start else None)
-    _, new_ide, _ = stage_train_ide(new_fse, settings, seed, key=SEED_REIDE,
-                                    init=base.ide.mlp if warm_start else None)
+    _, _, new_ide, _ = stage_train_ide(new_fse, settings, seed, key=SEED_REIDE,
+                                       init=base.ide.mlp if warm_start else None)
     train_seconds = time.perf_counter() - t0
 
-    retrained, _ = stage_eval(new_ide, new_fse, scene_with, base.targets, settings, seed,
-                              key=SEED_REEVAL_NOISE)
+    retrained = stage_eval(new_ide, new_fse, scene_with, t_test, seed, key=SEED_REEVAL_NOISE)
     logger.info(
         "retrained per-probe MSE: %s (collect %.1fs, retrain %.1fs)",
         ", ".join(f"{v:.4g}" for v in retrained.mse_measured),

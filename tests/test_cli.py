@@ -89,6 +89,19 @@ def test_diverged_training_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "fse.json").exists()
 
 
+def test_diverged_training_prints_one_line(tmp_path):
+    # a subprocess sees numpy's RuntimeWarnings, which pytest would capture in-process
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "rispa.cli", "train-fse", "--seed", "5", *TINY,
+         "--lr-fse", "1e300", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_RUNTIME
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: diverged"), proc.stderr
+
+
 def test_train_ide_without_fse_is_dependency_error(tmp_path, capsys):
     code = run_cli(["train-ide", *TINY], tmp_path)
     assert code == cli.EXIT_MISSING_DEPENDENCY

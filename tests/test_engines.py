@@ -22,7 +22,7 @@ from rispa.engines import (
     train_fse,
     train_ide,
 )
-from rispa.quantizer import QuantizerConfig
+from rispa.quantizer import QuantizerConfig, ide_output_to_angles, quantize_soft_with_grad
 from rispa.scene import default_scene, simulate
 
 
@@ -95,6 +95,36 @@ def test_tandem_gradients_match_finite_differences():
             fd = (up - dn) / (2 * h)
             denom = max(1e-7, abs(fd), abs(analytic[idx]))
             assert abs(fd - analytic[idx]) / denom < 1e-4
+
+
+def _reference_tandem(ide, fse, qcfg, x, y):
+    """The tandem step composed from public pieces: tape-less backward, sin/cos encode backward."""
+    raw = neural.forward(ide, x)
+    soft, soft_grad = quantize_soft_with_grad(ide_output_to_angles(raw), qcfg)
+    encoded = encode_phases(soft)
+    pred = neural.forward(fse, encoded)
+    g_encoded = neural.backward(fse, encoded, neural.mse_grad(pred, y)).inputs
+    rad = np.radians(soft)
+    g_soft = (-np.sin(rad) * g_encoded[..., 0::2] + np.cos(rad) * g_encoded[..., 1::2])
+    g_soft = g_soft * (np.pi / 180.0)
+    g_ide = neural.backward(ide, x, g_soft * soft_grad)
+    return neural.mse(pred, y), neural.grads_list(g_ide)
+
+
+@pytest.mark.parametrize("rows,tau", [(256, 10.0), (1, 10.0), (37, 0.3)])
+def test_tandem_step_is_bit_identical_to_reference(rows, tau):
+    ide = neural.init_mlp(ide_layer_dims(20, 3), seed=31)
+    fse = neural.init_mlp(fse_layer_dims(20, 3), seed=32)
+    qcfg = QuantizerConfig(temperature=tau)
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(0.0, 0.6, size=(rows, 3))
+    y = rng.uniform(0.0, 0.6, size=(rows, 3))
+    loss, grads = tandem_loss_and_grads(ide, fse, qcfg, x, y)
+    ref_loss, ref_grads = _reference_tandem(ide, fse, qcfg, x, y)
+    assert loss == ref_loss
+    assert len(grads) == len(ref_grads)
+    for a, b in zip(grads, ref_grads):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

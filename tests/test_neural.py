@@ -186,6 +186,25 @@ def test_gradient_correctness_over_100_random_nets():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("shape", [(4,), (7, 4)])
+def test_backward_with_tape_is_bit_identical(shape):
+    mlp = nn.init_mlp([4, 6, 5, 3], seed=21)
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=shape)
+    gout = rng.normal(size=shape[:-1] + (3,))
+    untaped = nn.backward(mlp, x, gout)
+    tape = []
+    pred = nn.forward(mlp, x, tape)
+    assert np.array_equal(pred, nn.forward(mlp, x))
+    taped = nn.backward(mlp, x, gout, tape)
+    for a, b in zip(nn.grads_list(taped), nn.grads_list(untaped)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(taped.inputs, untaped.inputs)
+    inputs_only = nn.backward(mlp, x, gout, tape, inputs_only=True)
+    assert np.array_equal(inputs_only.inputs, untaped.inputs)
+    assert all(w is None for w in inputs_only.weights + inputs_only.biases)
+
+
 def test_backward_batched_equals_sum_of_singles():
     mlp = nn.init_mlp([3, 4, 2], seed=5)
     rng = np.random.default_rng(6)

@@ -77,6 +77,36 @@ def test_soft_matches_independent_closed_form():
             )
 
 
+def _soft_with_grad_reference(angle_deg, cfg):
+    """The vectorized soft quantizer written as plainly as possible, for bit-level comparison."""
+    theta = np.radians(np.asarray(angle_deg, dtype=float))[..., None]
+    centers = np.radians(cfg.centers_deg)
+    tau = np.radians(cfg.temperature)
+    score = np.cos(theta - centers) / tau
+    score -= score.max(axis=-1, keepdims=True)
+    w = np.exp(score)
+    dw = w * (-np.sin(theta - centers) / tau)
+    phasors = np.exp(1j * centers)
+    z = (w * phasors).sum(axis=-1)
+    dz = (dw * phasors).sum(axis=-1)
+    out = np.degrees(np.arctan2(z.imag, z.real)) % 360.0
+    return out, (z.conj() * dz).imag / np.abs(z) ** 2
+
+
+def test_soft_with_grad_is_bit_identical_to_reference():
+    rng = np.random.default_rng(23)
+    random_angles = rng.uniform(-720.0, 720.0, size=(64, 20))
+    ties = 22.5 + 45.0 * np.arange(-16, 16)
+    centers = 45.0 * np.arange(-16, 16)
+    for tau in (30.0, 10.0, 3.0, 1.0, 0.3, 0.1):
+        cfg = QuantizerConfig(temperature=tau)
+        for angles in (random_angles, ties, centers):
+            out, grad = quantize_soft_with_grad(angles, cfg)
+            ref_out, ref_grad = _soft_with_grad_reference(angles, cfg)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(grad, ref_grad)
+
+
 def test_soft_small_tau_converges_to_hard_center():
     out = quantize_soft(10.0, QuantizerConfig(temperature=0.1))
     assert min(out, 360.0 - out) < 0.5
