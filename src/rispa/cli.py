@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import dataio, engines, evalkit
+from .atomic import atomic_write
 from .dataio import derive_seed
 from .evalkit import PRESETS, PipelineSettings
 from .neural import TrainingDiverged
@@ -222,7 +223,8 @@ def cmd_train_ide(cfg: RunConfig) -> dict:
     scene = _effective_scene(cfg)
     fse = engines.load_fse(_require(cfg.out_dir / FSE_FILE, "train-fse"))
     _check_digest(cfg, fse.scene_digest, "surrogate")
-    targets, _, ide, report = evalkit.stage_train_ide(fse, cfg.settings, cfg.seed)
+    targets, splits = evalkit.stage_targets(cfg.settings, cfg.seed)
+    ide, report = evalkit.stage_train_ide(fse, splits, cfg.settings, cfg.seed)
     _save_ide(cfg, scene, targets, ide, report)
     print(f"inverse engine trained ({cfg.settings.epochs_ide} epochs) -> {cfg.out_dir / IDE_FILE}")
     print(f"ide_val_mse: {report.best_val_loss:.6g}")
@@ -290,7 +292,8 @@ def cmd_adapt(cfg: RunConfig) -> dict:
         f"retrain_seconds: {report.train_seconds:.2f}",
     ]
     text = "\n".join(lines) + "\n"
-    (cfg.out_dir / ADAPT_SUMMARY_FILE).write_text(text, encoding="utf-8")
+    with atomic_write(cfg.out_dir / ADAPT_SUMMARY_FILE) as f:
+        f.write(text)
     print(text, end="")
     print(f"adaptation tables -> {cfg.out_dir / ADAPT_STALE_FILE}, {cfg.out_dir / ADAPT_RETRAINED_FILE}")
     return {
@@ -313,7 +316,8 @@ def cmd_pipeline(cfg: RunConfig) -> dict:
 
     summary = evalkit.summarize(result, scene)
     text = summary.to_text()
-    (cfg.out_dir / SUMMARY_FILE).write_text(text, encoding="utf-8")
+    with atomic_write(cfg.out_dir / SUMMARY_FILE) as f:
+        f.write(text)
     print(text, end="")
     print(f"artifacts -> {cfg.out_dir}")
     return {
@@ -349,9 +353,8 @@ def _write_manifest(cfg: RunConfig, command: str, outcome: dict) -> None:
         "settings": dataclasses.asdict(cfg.settings),
         "outcome": outcome,
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(manifest_path) as f:
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass
 import numpy as np
 
+from .atomic import atomic_write
 from .scene import STATE_COUNT, Scene, measure, scene_digest
 
 logger = logging.getLogger(__name__)
@@ -250,7 +251,7 @@ def _write_scatter(ds: ScatterDataset, f) -> None:
 
 
 def save_scatter(ds: ScatterDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         _write_scatter(ds, f)
 
 
@@ -350,7 +351,7 @@ def _write_targets(ds: TargetDataset, f) -> None:
 
 
 def save_targets(ds: TargetDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         _write_targets(ds, f)
 
 

@@ -1,6 +1,6 @@
 """Experiment narratives: full pipeline runs, special cases, obstacle adaptation.
 
-The four stages (collect, train-FSE, train-IDE, eval) are defined once here;
+The stages (collect, train-FSE, targets, train-IDE, eval) are defined once here;
 the CLI, ``run_pipeline`` and the adaptation study all compose them into the
 three stories the artifact exists to tell: (1) train a surrogate and an inverse
 designer from "measured" data and score them closed-loop, (2) hit the named
@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import dataio, engines
+from .atomic import atomic_write
 from .dataio import SCATTER_SPLIT, TARGET_SPLIT, SplitSpec, derive_seed
 from .engines import EvalResult, FseModel, IdeModel
 from .neural import TrainReport
@@ -163,15 +164,19 @@ def target_splits(targets: dataio.TargetDataset, settings: PipelineSettings, see
     return dataio.split(targets, settings.target_split, derive_seed(seed, SEED_TARGET_SPLIT))
 
 
-def stage_train_ide(fse: FseModel, settings: PipelineSettings, seed: int,
-                    key: int = SEED_IDE, init=None):
-    """Generate and split targets, train through ``fse``; returns (targets, splits, ide, report)."""
+def stage_targets(settings: PipelineSettings, seed: int):
+    """Generate the design targets and split them; returns (targets, (train, val, test))."""
     targets = dataio.generate_targets(
         settings.target_count, settings.target_low, settings.target_high,
         seed=derive_seed(seed, SEED_TARGETS),
     )
-    splits = target_splits(targets, settings, seed)
-    ide, report = engines.train_ide(
+    return targets, target_splits(targets, settings, seed)
+
+
+def stage_train_ide(fse: FseModel, splits, settings: PipelineSettings, seed: int,
+                    key: int = SEED_IDE, init=None):
+    """Train through ``fse`` on the train/val parts of ``splits``; returns (ide, report)."""
+    return engines.train_ide(
         fse, splits[0], splits[1],
         epochs=settings.epochs_ide,
         learning_rate=settings.lr_ide,
@@ -180,7 +185,6 @@ def stage_train_ide(fse: FseModel, settings: PipelineSettings, seed: int,
         qcfg=QuantizerConfig(temperature=settings.temperature),
         init=init,
     )
-    return targets, splits, ide, report
 
 
 def stage_eval(ide: IdeModel, fse: FseModel, scene: Scene, t_test: dataio.TargetDataset,
@@ -224,7 +228,8 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
 
     dataset = timed("collect", stage_collect, scene, settings, seed)
     fse, fse_report, fse_test_mse = timed("train_fse", stage_train_fse, dataset, settings, seed)
-    targets, splits, ide, ide_report = timed("train_ide", stage_train_ide, fse, settings, seed)
+    targets, splits = stage_targets(settings, seed)
+    ide, ide_report = timed("train_ide", stage_train_ide, fse, splits, settings, seed)
     eval_result = timed("eval", stage_eval, ide, fse, scene, splits[2], seed)
     _, special_table = run_special_cases(ide, fse, scene)
 
@@ -314,8 +319,8 @@ def run_adaptation_study(
     t0 = time.perf_counter()
     new_fse, _, _ = stage_train_fse(new_data, settings, seed, key=SEED_REFSE,
                                     init=base.fse.mlp if warm_start else None)
-    _, _, new_ide, _ = stage_train_ide(new_fse, settings, seed, key=SEED_REIDE,
-                                       init=base.ide.mlp if warm_start else None)
+    new_ide, _ = stage_train_ide(new_fse, base.target_splits, settings, seed, key=SEED_REIDE,
+                                 init=base.ide.mlp if warm_start else None)
     train_seconds = time.perf_counter() - t0
 
     retrained = stage_eval(new_ide, new_fse, scene_with, t_test, seed, key=SEED_REEVAL_NOISE)
@@ -348,11 +353,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, rows, provenance: Optional[dict]) -> None:
-    try:
-        f = open(path, "w", encoding="utf-8", newline="")
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
-    with f:
+    with atomic_write(path) as f:
         if provenance:
             f.write("# " + " ".join(f"{k}={v}" for k, v in provenance.items()) + "\n")
         f.write(",".join(header) + "\n")

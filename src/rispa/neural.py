@@ -20,6 +20,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .atomic import atomic_write
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -383,7 +385,7 @@ def save_model(mlp: Mlp, path, provenance: Optional[dict] = None) -> None:
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **mlp_to_dict(mlp)}
     doc["provenance"] = provenance or {}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(doc, f)
         f.write("\n")
 

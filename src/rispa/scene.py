@@ -35,6 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from .atomic import atomic_write
+
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
 STATE_COUNT = 8
@@ -314,7 +316,7 @@ def scene_from_dict(d: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(scene_to_dict(scene), f, indent=2)
         f.write("\n")
 

@@ -146,6 +146,18 @@ def test_export_scatter_rejects_empty_and_misshapen(tmp_path):
         export_scatter(np.zeros((2, 4)), tmp_path / "x.csv")
 
 
+def test_export_interrupted_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "eval.csv"
+    export_scatter(np.zeros((2, 9)), path)
+    before = path.read_bytes()
+    bad = np.zeros((50, 9), dtype=object)
+    bad[40, 4] = "not a number"   # rows 0-39 are written before the writer raises
+    with pytest.raises(ValueError):
+        export_scatter(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+
+
 def test_export_history_round_trip(tmp_path):
     report = TrainReport(
         train_losses=[0.5, 0.25, 0.125], val_losses=[0.6, 0.3, 0.2],

@@ -78,7 +78,7 @@ def test_soft_matches_independent_closed_form():
 
 
 def _soft_with_grad_reference(angle_deg, cfg):
-    """The vectorized soft quantizer written as plainly as possible, for bit-level comparison."""
+    """The vectorized soft quantizer written as plainly as possible: all 8 states, complex sums."""
     theta = np.radians(np.asarray(angle_deg, dtype=float))[..., None]
     centers = np.radians(cfg.centers_deg)
     tau = np.radians(cfg.temperature)
@@ -93,7 +93,7 @@ def _soft_with_grad_reference(angle_deg, cfg):
     return out, (z.conj() * dz).imag / np.abs(z) ** 2
 
 
-def test_soft_with_grad_is_bit_identical_to_reference():
+def test_soft_with_grad_matches_reference():
     rng = np.random.default_rng(23)
     random_angles = rng.uniform(-720.0, 720.0, size=(64, 20))
     ties = 22.5 + 45.0 * np.arange(-16, 16)
@@ -103,8 +103,9 @@ def test_soft_with_grad_is_bit_identical_to_reference():
         for angles in (random_angles, ties, centers):
             out, grad = quantize_soft_with_grad(angles, cfg)
             ref_out, ref_grad = _soft_with_grad_reference(angles, cfg)
-            assert np.array_equal(out, ref_out)
-            assert np.array_equal(grad, ref_grad)
+            assert np.all(np.isfinite(out)) and np.all(np.isfinite(grad))
+            assert _circ_diff(out, ref_out).max() <= 1e-9
+            assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-12)
 
 
 def test_soft_small_tau_converges_to_hard_center():
@@ -113,15 +114,20 @@ def test_soft_small_tau_converges_to_hard_center():
 
 
 def test_soft_derivative_matches_finite_differences():
-    cfg = QuantizerConfig()
     rng = np.random.default_rng(23)
     h = 1e-5
-    for angle in rng.uniform(0.0, 360.0, size=20):
-        _, grad = quantize_soft_with_grad(angle, cfg)
-        up = quantize_soft(angle + h, cfg)
-        dn = quantize_soft(angle - h, cfg)
-        fd = ((up - dn + 180.0) % 360.0 - 180.0) / (2 * h)
-        assert grad == pytest.approx(fd, rel=1e-5)
+    for tau in (10.0, 1.0, 0.3):
+        cfg = QuantizerConfig(temperature=tau)
+        angles = rng.uniform(0.0, 360.0, size=20)
+        if tau != 10.0:   # the staircase is steep near a tie at small tau
+            angles = angles[np.abs(angles % 45.0 - 22.5) >= 1.5]
+        for angle in angles:
+            _, grad = quantize_soft_with_grad(angle, cfg)
+            up = quantize_soft(angle + h, cfg)
+            dn = quantize_soft(angle - h, cfg)
+            fd = ((up - dn + 180.0) % 360.0 - 180.0) / (2 * h)
+            # rounding of out (~6e-14 deg) puts fd ~3e-9 off where the grad is tiny
+            assert grad == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 def _circ_diff(a, b):
@@ -175,5 +181,7 @@ def test_ide_output_wraps_cyclically(raw, expected):
 def test_quantizer_config_validation():
     with pytest.raises(ValueError):
         QuantizerConfig(state_count=7)
+    with pytest.raises(ValueError):
+        QuantizerConfig(state_count=5, step_degrees=72.0)
     with pytest.raises(ValueError):
         QuantizerConfig(temperature=0.0)
