@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -160,6 +161,7 @@ def fse_predict(model: FseModel, profile) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.ndarray:
+    """Surrogate prediction through the soft-quantized chain, recording no tape."""
     raw = neural.forward(ide_mlp, x)
     angles = ide_output_to_angles(raw)
     soft, _ = quantize_soft_with_grad(angles, qcfg)
@@ -167,7 +169,7 @@ def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.n
 
 
 def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, y):
-    """Batch-mean MSE through the frozen chain and its exact IDE gradients.
+    """Batch-mean MSE through the frozen chain and its flat IDE parameter gradient.
 
     Each network runs forward once and its backward reads the recorded tape.
     Only the inverse network's parameter gradients are produced; the
@@ -187,14 +189,7 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_tape, inputs_only=True).inputs
     g_soft = _encode_backward(encoded, g_encoded)
     g_raw = g_soft * soft_grad  # wrap to degrees has unit gradient
-    g_ide = neural.backward(ide_mlp, x, g_raw, ide_tape)
-    return loss, neural.grads_list(g_ide)
-
-
-def _tandem_loss(fse_mlp: Mlp, qcfg: QuantizerConfig):
-    def loss_fn(mlp, x, y):
-        return neural.mse(tandem_forward(mlp, fse_mlp, qcfg, x), y)
-    return loss_fn
+    return loss, neural.backward(ide_mlp, x, g_raw, ide_tape).params
 
 
 def train_ide(
@@ -220,11 +215,6 @@ def train_ide(
     )
 
     fse_digest_before = fse.digest()
-    fse_mlp = fse.mlp
-
-    def loss_and_grads(mlp, x, y):
-        return tandem_loss_and_grads(mlp, fse_mlp, qcfg, x, y)
-
     report = neural.train(
         ide_mlp,
         (train_targets.targets, train_targets.targets),
@@ -233,8 +223,8 @@ def train_ide(
         batch_size=batch_size,
         learning_rate=learning_rate,
         seed=seed,
-        loss_fn=_tandem_loss(fse_mlp, qcfg),
-        loss_and_grads_fn=loss_and_grads,
+        predict_fn=partial(tandem_forward, fse_mlp=fse.mlp, qcfg=qcfg),
+        loss_and_grads_fn=partial(tandem_loss_and_grads, fse_mlp=fse.mlp, qcfg=qcfg),
     )
     if fse.digest() != fse_digest_before:
         raise RuntimeError("surrogate parameters changed during inverse training")
@@ -327,12 +317,9 @@ def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, targets: TargetDataset) -> f
     Quantifies how much the training-time relaxation disagrees with what the
     hardware can actually realize.
     """
-    raw = neural.forward(ide.mlp, targets.targets)
-    angles = ide_output_to_angles(raw)
-    soft, _ = quantize_soft_with_grad(angles, ide.quantizer)
-    hard = state_phases_deg(quantize_hard(angles, ide.quantizer))
-    pred_soft = neural.forward(fse.mlp, encode_phases(soft))
-    pred_hard = neural.forward(fse.mlp, encode_phases(hard))
+    t = targets.targets
+    pred_soft = tandem_forward(ide.mlp, fse.mlp, ide.quantizer, t)
+    pred_hard = fse_predict(fse, design_batch(ide, t))
     return float(np.sqrt(np.mean((pred_soft - pred_hard) ** 2)))
 
 
@@ -353,16 +340,19 @@ def save_fse(model: FseModel, path) -> None:
 
 def load_fse(path) -> FseModel:
     mlp, prov = neural.load_model(path)
-    if prov.get("kind") != "fse":
-        raise ValueError(f"{path} is not a forward-surrogate model file")
-    return FseModel(
-        mlp=mlp,
-        column_count=int(prov["column_count"]),
-        i_max=float(prov["i_max"]),
-        scene_digest=prov.get("scene_digest", ""),
-        dataset_digest=prov.get("dataset_digest", ""),
-        seed=int(prov.get("seed", 0)),
-    )
+    try:
+        if prov.get("kind") != "fse":
+            raise ValueError(f"{path} is not a forward-surrogate model file")
+        return FseModel(
+            mlp=mlp,
+            column_count=int(prov["column_count"]),
+            i_max=float(prov["i_max"]),
+            scene_digest=prov.get("scene_digest", ""),
+            dataset_digest=prov.get("dataset_digest", ""),
+            seed=int(prov.get("seed", 0)),
+        )
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
+        raise ValueError(f"{path}: malformed provenance: {e!r}") from e
 
 
 def save_ide(model: IdeModel, path) -> None:
@@ -383,19 +373,22 @@ def save_ide(model: IdeModel, path) -> None:
 
 def load_ide(path) -> IdeModel:
     mlp, prov = neural.load_model(path)
-    if prov.get("kind") != "ide":
-        raise ValueError(f"{path} is not an inverse-design model file")
-    q = prov.get("quantizer", {})
-    return IdeModel(
-        mlp=mlp,
-        fse_digest=prov.get("fse_digest", ""),
-        quantizer=QuantizerConfig(
-            state_count=int(q.get("state_count", 8)),
-            step_degrees=float(q.get("step_degrees", 45.0)),
-            temperature=float(q.get("temperature", 10.0)),
-        ),
-        column_count=int(prov.get("column_count", 20)),
-        target_low=float(prov.get("target_low", 0.0)),
-        target_high=float(prov.get("target_high", 0.6)),
-        seed=int(prov.get("seed", 0)),
-    )
+    try:
+        if prov.get("kind") != "ide":
+            raise ValueError(f"{path} is not an inverse-design model file")
+        q = prov.get("quantizer", {})
+        return IdeModel(
+            mlp=mlp,
+            fse_digest=prov.get("fse_digest", ""),
+            quantizer=QuantizerConfig(
+                state_count=int(q.get("state_count", 8)),
+                step_degrees=float(q.get("step_degrees", 45.0)),
+                temperature=float(q.get("temperature", 10.0)),
+            ),
+            column_count=int(prov.get("column_count", 20)),
+            target_low=float(prov.get("target_low", 0.0)),
+            target_high=float(prov.get("target_high", 0.6)),
+            seed=int(prov.get("seed", 0)),
+        )
+    except (KeyError, TypeError, AttributeError, OverflowError) as e:
+        raise ValueError(f"{path}: malformed provenance: {e!r}") from e

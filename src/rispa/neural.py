@@ -1,7 +1,11 @@
 """Minimal fully connected network core in plain numpy.
 
 Fixed topology: affine layers with ELU on the hidden layers and identity on
-the output. Reverse-mode gradients are exact and also returned with respect
+the output. An ``Mlp`` keeps its parameters in one float64 vector, ``params``,
+laid out [W0, b0, W1, b1, ...] row-major; its ``weights`` and ``biases`` are
+views of it, and ``backward`` returns the parameter gradient in the same flat
+layout, so Adam, the finite check, snapshots and the digest each act on one
+array. Reverse-mode gradients are exact and also returned with respect
 to the input vector, which is what lets an inverse network train through a
 frozen forward surrogate. ``forward`` can record a tape (each layer's input
 and pre-activation) that ``backward`` consumes instead of recomputing the
@@ -15,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -36,34 +40,45 @@ class TrainingDiverged(RuntimeError):
         self.val_losses = list(val_losses or [])
 
 
+def _layer_views(flat: np.ndarray, layer_dims) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Carve ``flat`` into per-layer (fan_out, fan_in) weight and (fan_out,) bias views."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(flat[start:stop].reshape(fan_out, fan_in))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    if start != flat.size:
+        raise ValueError(f"{flat.size} parameters where layer_dims {list(layer_dims)} need {start}")
+    return weights, biases
+
+
 @dataclass
 class Mlp:
-    """Weights are (fan_out, fan_in), biases (fan_out,); hidden activation ELU."""
+    """Flat ``params``; weights (fan_out, fan_in) and biases (fan_out,) are views of it."""
 
     layer_dims: List[int]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    params: np.ndarray
+
+    def __post_init__(self):
+        if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
+            raise ValueError("layer_dims needs at least 2 positive entries")
+        self.params = np.ascontiguousarray(self.params, dtype=float)
+        self.weights, self.biases = _layer_views(self.params, self.layer_dims)
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Mlp(layer_dims=list(self.layer_dims), params=self.params.copy())
 
 
 def init_mlp(layer_dims, seed: int) -> Mlp:
     """Glorot-uniform weights, zero biases, from the seeded generator."""
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError("layer_dims needs at least 2 positive entries")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    parts = [np.empty(0)]  # so that Mlp, not concatenate, rejects a one-entry layer_dims
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(layer_dims=dims, weights=weights, biases=biases)
+        parts += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+    return Mlp(layer_dims=dims, params=np.concatenate(parts))
 
 
 def elu(x):
@@ -115,8 +130,7 @@ def mse_grad(a, b) -> np.ndarray:
 
 @dataclass
 class Gradients:
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    params: Optional[np.ndarray]  # same layout as Mlp.params; None when inputs_only
     inputs: np.ndarray
 
 
@@ -125,10 +139,11 @@ def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
-    output). Returns gradients for every weight and bias plus dLoss/dInput.
-    Batched inputs sum parameter gradients over the batch. ``tape`` is the
-    record of ``forward(mlp, x, tape)``; without it the pass is run here.
-    ``inputs_only`` leaves the weight and bias gradients as None.
+    output). Returns the parameter gradient as one flat vector laid out like
+    ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
+    over the batch. ``tape`` is the record of ``forward(mlp, x, tape)``;
+    without it the pass is run here. ``inputs_only`` leaves the parameter
+    gradient as None.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -139,48 +154,27 @@ def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
     if g.shape != (tape[0][0].shape[0], mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    gw = [None] * len(mlp.weights)
-    gb = [None] * len(mlp.biases)
+    grad = None if inputs_only else np.empty_like(mlp.params)
+    gw, gb = _layer_views(grad, mlp.layer_dims) if grad is not None else (None, None)
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
-        if not inputs_only:
-            gw[i] = delta.T @ tape[i][0]
-            gb[i] = delta.sum(axis=0)
+        if grad is not None:
+            np.matmul(delta.T, tape[i][0], out=gw[i])
+            delta.sum(axis=0, out=gb[i])
         upstream = delta @ mlp.weights[i]
         if i > 0:
             delta = upstream * elu_grad(tape[i - 1][1])
-    return Gradients(weights=gw, biases=gb, inputs=upstream[0] if squeeze else upstream)
+    return Gradients(params=grad, inputs=upstream[0] if squeeze else upstream)
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
-def mlp_params(mlp: Mlp) -> List[np.ndarray]:
-    """Flat parameter list [W0, b0, W1, b1, ...] (views, not copies)."""
-    out = []
-    for w, b in zip(mlp.weights, mlp.biases):
-        out.extend([w, b])
-    return out
-
-
-def set_mlp_params(mlp: Mlp, params: List[np.ndarray]) -> None:
-    for i in range(len(mlp.weights)):
-        mlp.weights[i] = params[2 * i]
-        mlp.biases[i] = params[2 * i + 1]
-
-
-def grads_list(g: Gradients) -> List[np.ndarray]:
-    out = []
-    for w, b in zip(g.weights, g.biases):
-        out.extend([w, b])
-    return out
-
-
 @dataclass
 class AdamState:
-    first_moment: List[np.ndarray]
-    second_moment: List[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int
     learning_rate: float
     beta1: float = ADAM_BETA1
@@ -188,42 +182,30 @@ class AdamState:
     epsilon: float = ADAM_EPSILON
 
 
-def init_adam(params: List[np.ndarray], learning_rate: float) -> AdamState:
+def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
     if not learning_rate > 0.0:
         raise ValueError("learning_rate must be positive")
     return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
+        first_moment=np.zeros_like(params),
+        second_moment=np.zeros_like(params),
         step_count=0,
         learning_rate=learning_rate,
     )
 
 
-def adam_step(params, grads, state: AdamState) -> Tuple[List[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged("diverged: non-finite gradient")
+def adam_step(params: np.ndarray, grads: np.ndarray,
+              state: AdamState) -> Tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of a flat vector; returns new params and state."""
+    if not np.all(np.isfinite(grads)):
+        raise TrainingDiverged("diverged: non-finite gradient")
     t = state.step_count + 1
     lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(
-        first_moment=new_m,
-        second_moment=new_v,
-        step_count=t,
-        learning_rate=lr,
-        beta1=b1,
-        beta2=b2,
-        epsilon=eps,
-    )
+    m = b1 * state.first_moment + (1.0 - b1) * grads
+    v = b2 * state.second_moment + (1.0 - b2) * grads * grads
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    new_state = replace(state, first_moment=m, second_moment=v, step_count=t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), new_state
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +229,11 @@ class TrainReport:
         return float("nan")
 
 
-def _supervised_loss(mlp: Mlp, x, y) -> float:
-    return mse(forward(mlp, x), y)
-
-
 def _supervised_loss_and_grads(mlp: Mlp, x, y):
     tape = []
     pred = forward(mlp, x, tape)
     loss = mse(pred, y)
-    g = backward(mlp, x, mse_grad(pred, y), tape)
-    return loss, grads_list(g)
+    return loss, backward(mlp, x, mse_grad(pred, y), tape).params
 
 
 # overflow and invalid values are caught by the explicit isfinite checks
@@ -270,20 +247,21 @@ def train(
     batch_size: int,
     learning_rate: float,
     seed: int,
-    loss_fn: Optional[Callable] = None,
+    predict_fn: Optional[Callable] = None,
     loss_and_grads_fn: Optional[Callable] = None,
 ) -> TrainReport:
     """Minibatch Adam training with per-epoch validation and best-val snapshot.
 
-    ``train_pairs``/``val_pairs`` are (inputs, targets) arrays. The default
-    objective is batch-mean MSE on the network output; callers may supply a
-    custom (loss_fn, loss_and_grads_fn) pair operating on the same Mlp, which
-    is how the tandem stage trains through frozen downstream stages.
+    ``train_pairs``/``val_pairs`` are (inputs, targets) arrays. The objective
+    is batch-mean MSE against the targets, by default of the network output.
+    The tandem stage trains through frozen downstream stages by supplying
+    ``predict_fn(model, x=...)``, the derivative-free prediction validation
+    scores, and ``loss_and_grads_fn(model, x=..., y=...)``, the training loss
+    with its flat parameter gradient.
 
     Shuffling is seeded; batches run in a fixed order, so the loss histories
     are reproducible bit for bit.
     """
-    loss_fn = loss_fn or _supervised_loss
     loss_and_grads_fn = loss_and_grads_fn or _supervised_loss_and_grads
     x_train, y_train = train_pairs
     x_val, y_val = val_pairs
@@ -298,11 +276,11 @@ def train(
 
     rng = np.random.default_rng(seed)
     model = mlp.copy()
-    state = init_adam(mlp_params(model), learning_rate)
+    state = init_adam(model.params, learning_rate)
     train_losses: List[float] = []
     val_losses: List[float] = []
     best_val = np.inf
-    best_params = [p.copy() for p in mlp_params(model)]
+    best_params = model.params.copy()
     best_epoch = -1
     t0 = time.perf_counter()
 
@@ -311,32 +289,34 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
-            loss, grads = loss_and_grads_fn(model, x_train[idx], y_train[idx])
+            loss, grads = loss_and_grads_fn(model, x=x_train[idx], y=y_train[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"diverged: non-finite loss at epoch {epoch}", train_losses, val_losses
                 )
             try:
-                params, state = adam_step(mlp_params(model), grads, state)
+                params, state = adam_step(model.params, grads, state)
             except TrainingDiverged as e:
                 raise TrainingDiverged(
                     f"{e} at epoch {epoch}", train_losses, val_losses
                 ) from e
-            set_mlp_params(model, params)
+            model.params[...] = params
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         if have_val:
-            v = loss_fn(model, x_val, y_val)
+            # x stays positional: perfbench's tracer counts rows from forward's second argument
+            pred = forward(model, x_val) if predict_fn is None else predict_fn(model, x=x_val)
+            v = mse(pred, y_val)
             val_losses.append(v)
             if v < best_val:
                 best_val = v
-                best_params = [p.copy() for p in mlp_params(model)]
+                best_params = model.params.copy()
                 best_epoch = epoch
         else:
             val_losses.append(float("nan"))
 
     if have_val and best_epoch >= 0:
-        set_mlp_params(model, best_params)
+        model.params[...] = best_params
     return TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
@@ -363,18 +343,23 @@ def mlp_to_dict(mlp: Mlp) -> dict:
     }
 
 
-def mlp_from_dict(d: dict) -> Mlp:
+def mlp_from_dict(d) -> Mlp:
+    """Rebuild an Mlp from ``mlp_to_dict`` output; a malformed document raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("model is not a JSON object")
     if d.get("hidden_activation", "elu") != "elu":
         raise ValueError(f"unsupported activation {d.get('hidden_activation')!r}")
-    mlp = Mlp(
-        layer_dims=[int(v) for v in d["layer_dims"]],
-        weights=[np.asarray(w, dtype=float) for w in d["weights"]],
-        biases=[np.asarray(b, dtype=float) for b in d["biases"]],
-    )
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        expect = (mlp.layer_dims[i + 1], mlp.layer_dims[i])
-        if w.shape != expect or b.shape != (expect[0],):
-            raise ValueError(f"layer {i} shape mismatch: {w.shape} vs {expect}")
+    try:
+        dims = [int(v) for v in d["layer_dims"]]
+        arrays = [np.asarray(a, dtype=float)
+                  for pair in zip(d["weights"], d["biases"], strict=True) for a in pair]
+    except (KeyError, TypeError, OverflowError) as e:
+        raise ValueError(f"malformed model: {e!r}") from e
+    mlp = Mlp(layer_dims=dims, params=np.concatenate([np.empty(0), *(a.ravel() for a in arrays)]))
+    if [a.shape for a in arrays] != [v.shape for pair in zip(mlp.weights, mlp.biases) for v in pair]:
+        raise ValueError(f"parameter shapes do not match layer_dims {dims}")
+    if not np.all(np.isfinite(mlp.params)):
+        raise ValueError("non-finite parameter")
     return mlp
 
 
@@ -396,15 +381,17 @@ def load_model(path) -> Tuple[Mlp, dict]:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"model file parse error in {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a model file: the top level is not an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    return mlp_from_dict(doc), doc.get("provenance", {})
+    try:
+        return mlp_from_dict(doc), doc.get("provenance", {})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def param_digest(mlp: Mlp) -> str:
     """SHA-256 over the raw parameter bytes; detects any bit-level change."""
-    h = hashlib.sha256()
-    for p in mlp_params(mlp):
-        h.update(np.ascontiguousarray(p).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(mlp.params.tobytes()).hexdigest()

@@ -50,8 +50,8 @@ def _fd_check_mlp(rng) -> float:
 
     h = 1e-5
     worst = 0.0
-    analytic = neural.grads_list(g) + [g.inputs]
-    arrays = neural.mlp_params(mlp) + [x]
+    analytic = [g.params, g.inputs]
+    arrays = [mlp.params, x]
     for arr, ga in zip(arrays, analytic):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -109,18 +109,16 @@ def _fd_check_tandem(rng) -> float:
 
     h = 1e-5
     worst = 0.0
-    for arr, ga in zip(neural.mlp_params(ide), grads):
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = arr[idx]
-            arr[idx] = old + h
-            up = loss()
-            arr[idx] = old - h
-            dn = loss()
-            arr[idx] = old
-            fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(fd - ga[idx]) / max(1e-6, abs(fd), abs(ga[idx])))
+    arr, ga = ide.params, grads
+    for idx in range(arr.size):
+        old = arr[idx]
+        arr[idx] = old + h
+        up = loss()
+        arr[idx] = old - h
+        dn = loss()
+        arr[idx] = old
+        fd = (up - dn) / (2 * h)
+        worst = max(worst, abs(fd - ga[idx]) / max(1e-6, abs(fd), abs(ga[idx])))
     return worst
 
 

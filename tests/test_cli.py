@@ -102,6 +102,13 @@ def test_diverged_training_prints_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: diverged"), proc.stderr
 
 
+def test_eval_with_corrupt_surrogate_file_prints_one_line(tmp_path, capsys):
+    (tmp_path / "fse.json").write_text('{"format_version": 1, "weights": [], "biases": []}')
+    assert run_cli(["eval", "--seed", "5", *TINY], tmp_path) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "fse.json" in err, err
+
+
 def test_train_ide_without_fse_is_dependency_error(tmp_path, capsys):
     code = run_cli(["train-ide", *TINY], tmp_path)
     assert code == cli.EXIT_MISSING_DEPENDENCY

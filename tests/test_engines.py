@@ -1,11 +1,14 @@
 """Forward surrogate, tandem gradients, inference, and closed-loop scoring."""
 
+import json
+
 import numpy as np
 import pytest
 
 from rispa import dataio, neural
 from rispa.engines import (
     FseModel,
+    IdeModel,
     closed_loop_eval,
     design_batch,
     encode_phases,
@@ -79,22 +82,17 @@ def test_tandem_gradients_match_finite_differences():
         return neural.mse(tandem_forward(ide, fse, qcfg, x), y)
 
     h = 1e-5
-    gi = 0
-    for arr in neural.mlp_params(ide):
-        analytic = grads[gi]
-        gi += 1
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = arr[idx]
-            arr[idx] = old + h
-            up = loss_now()
-            arr[idx] = old - h
-            dn = loss_now()
-            arr[idx] = old
-            fd = (up - dn) / (2 * h)
-            denom = max(1e-7, abs(fd), abs(analytic[idx]))
-            assert abs(fd - analytic[idx]) / denom < 1e-4
+    arr, analytic = ide.params, grads
+    for idx in range(arr.size):
+        old = arr[idx]
+        arr[idx] = old + h
+        up = loss_now()
+        arr[idx] = old - h
+        dn = loss_now()
+        arr[idx] = old
+        fd = (up - dn) / (2 * h)
+        denom = max(1e-7, abs(fd), abs(analytic[idx]))
+        assert abs(fd - analytic[idx]) / denom < 1e-4
 
 
 def _reference_tandem(ide, fse, qcfg, x, y):
@@ -108,7 +106,7 @@ def _reference_tandem(ide, fse, qcfg, x, y):
     g_soft = (-np.sin(rad) * g_encoded[..., 0::2] + np.cos(rad) * g_encoded[..., 1::2])
     g_soft = g_soft * (np.pi / 180.0)
     g_ide = neural.backward(ide, x, g_soft * soft_grad)
-    return neural.mse(pred, y), neural.grads_list(g_ide)
+    return neural.mse(pred, y), g_ide.params
 
 
 @pytest.mark.parametrize("rows,tau", [(256, 10.0), (1, 10.0), (37, 0.3)])
@@ -122,9 +120,7 @@ def test_tandem_step_is_bit_identical_to_reference(rows, tau):
     loss, grads = tandem_loss_and_grads(ide, fse, qcfg, x, y)
     ref_loss, ref_grads = _reference_tandem(ide, fse, qcfg, x, y)
     assert loss == ref_loss
-    assert len(grads) == len(ref_grads)
-    for a, b in zip(grads, ref_grads):
-        assert np.array_equal(a, b)
+    assert np.array_equal(grads, ref_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +285,42 @@ def test_model_files_reject_kind_mixups(tmp_path, tiny_tandem):
         load_ide(tmp_path / "fse.json")
     with pytest.raises(ValueError, match="not a"):
         load_fse(tmp_path / "ide.json")
+
+
+def _nan_first_weight(doc):
+    doc["weights"][0][0][0] = float("nan")
+    return doc
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+MALFORMED_MODEL_FILES = {
+    "no-layer-dims": ("fse", lambda d: _without(d, "layer_dims")),
+    "top-level-list": ("fse", lambda d: [d]),
+    "null-layer-dims": ("fse", lambda d: {**d, "layer_dims": None}),
+    "missing-layer": ("fse", lambda d: {**d, "weights": d["weights"][:1], "biases": d["biases"][:1]}),
+    "nan-weight": ("fse", _nan_first_weight),
+    "transposed-layer": ("fse", lambda d: {
+        **d, "weights": [np.array(d["weights"][0]).T.tolist(), *d["weights"][1:]]}),
+    "provenance-list": ("fse", lambda d: {**d, "provenance": [1]}),
+    "no-column-count": ("fse", lambda d: {**d, "provenance": _without(d["provenance"], "column_count")}),
+    "quantizer-list": ("ide", lambda d: {
+        **d, "provenance": {**d["provenance"], "quantizer": [8, 45.0, 10.0]}}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODEL_FILES)
+def test_malformed_model_files_are_value_errors(tmp_path, case):
+    kind, mutate = MALFORMED_MODEL_FILES[case]
+    fse = FseModel(mlp=neural.init_mlp([4, 3, 2], seed=0), column_count=2, i_max=1.0)
+    path = tmp_path / f"{kind}.json"
+    if kind == "fse":
+        save_fse(fse, path)
+    else:
+        save_ide(IdeModel(mlp=neural.init_mlp([2, 3, 2], seed=1), fse_digest=fse.digest(),
+                          column_count=2), path)
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(ValueError):
+        (load_fse if kind == "fse" else load_ide)(path)

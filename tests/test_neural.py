@@ -1,33 +1,34 @@
 """Network core: forward/backward correctness, Adam, and the training loop."""
 
+import contextlib
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rispa import neural as nn
 
 
 def finite_diff_param_grads(mlp, x, y, h):
-    """Central finite differences of batch-mean MSE over every parameter."""
+    """Central finite differences of batch-mean MSE over every parameter, flat."""
     def loss():
         return nn.mse(nn.forward(mlp, x), y)
 
-    out = []
-    for arr in nn.mlp_params(mlp):
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = arr[idx]
-            arr[idx] = old + h
-            up = loss()
-            arr[idx] = old - h
-            dn = loss()
-            arr[idx] = old
-            g[idx] = (up - dn) / (2 * h)
-        out.append(g)
-    return out
+    arr = mlp.params
+    g = np.zeros_like(arr)
+    for idx in range(arr.size):
+        old = arr[idx]
+        arr[idx] = old + h
+        up = loss()
+        arr[idx] = old - h
+        dn = loss()
+        arr[idx] = old
+        g[idx] = (up - dn) / (2 * h)
+    return g
 
 
 def rel_err(a, b, floor=1e-8):
@@ -76,8 +77,7 @@ def test_forward_zero_parameters_gives_zero():
 
 
 def test_forward_single_affine_layer():
-    mlp = nn.Mlp(layer_dims=[2, 1], weights=[np.array([[1.0, 2.0]])],
-                 biases=[np.array([0.5])])
+    mlp = nn.Mlp(layer_dims=[2, 1], params=np.array([1.0, 2.0, 0.5]))
     assert nn.forward(mlp, np.array([3.0, 4.0]))[0] == pytest.approx(11.5)
 
 
@@ -135,8 +135,7 @@ def test_mse_grad_matches_finite_differences():
 def test_backward_zero_grad_output_gives_zero_grads():
     mlp = nn.init_mlp([4, 5, 3], seed=1)
     g = nn.backward(mlp, np.ones(4), np.zeros(3))
-    assert all(np.all(w == 0.0) for w in g.weights)
-    assert all(np.all(b == 0.0) for b in g.biases)
+    assert np.all(g.params == 0.0)
     assert np.all(g.inputs == 0.0)
 
 
@@ -148,8 +147,7 @@ def test_backward_matches_finite_differences():
     pred = nn.forward(mlp, x)
     g = nn.backward(mlp, x, nn.mse_grad(pred, y))
     fd = finite_diff_param_grads(mlp, x, y, h=1e-5)
-    for analytic, numeric in zip(nn.grads_list(g), fd):
-        assert rel_err(analytic, numeric, floor=1e-7).max() < 1e-4
+    assert rel_err(g.params, fd, floor=1e-7).max() < 1e-4
 
 
 def test_backward_input_gradient_matches_finite_differences():
@@ -181,8 +179,7 @@ def test_gradient_correctness_over_100_random_nets():
         y = rng.normal(size=dims[-1])
         g = nn.backward(mlp, x, nn.mse_grad(nn.forward(mlp, x), y))
         fd = finite_diff_param_grads(mlp, x, y, h=1e-5)
-        for analytic, numeric in zip(nn.grads_list(g), fd):
-            worst = max(worst, rel_err(analytic, numeric, floor=1e-6).max())
+        worst = max(worst, rel_err(g.params, fd, floor=1e-6).max())
     assert worst < 1e-4
 
 
@@ -197,12 +194,11 @@ def test_backward_with_tape_is_bit_identical(shape):
     pred = nn.forward(mlp, x, tape)
     assert np.array_equal(pred, nn.forward(mlp, x))
     taped = nn.backward(mlp, x, gout, tape)
-    for a, b in zip(nn.grads_list(taped), nn.grads_list(untaped)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(taped.params, untaped.params)
     assert np.array_equal(taped.inputs, untaped.inputs)
     inputs_only = nn.backward(mlp, x, gout, tape, inputs_only=True)
     assert np.array_equal(inputs_only.inputs, untaped.inputs)
-    assert all(w is None for w in inputs_only.weights + inputs_only.biases)
+    assert inputs_only.params is None
 
 
 def test_backward_batched_equals_sum_of_singles():
@@ -212,8 +208,7 @@ def test_backward_batched_equals_sum_of_singles():
     gout = rng.normal(size=(3, 2))
     batched = nn.backward(mlp, xs, gout)
     singles = [nn.backward(mlp, xs[i], gout[i]) for i in range(3)]
-    for li in range(2):
-        assert np.allclose(batched.weights[li], sum(s.weights[li] for s in singles), atol=1e-12)
+    assert np.allclose(batched.params, sum(s.params for s in singles), atol=1e-12)
     assert np.allclose(batched.inputs, np.vstack([s.inputs for s in singles]), atol=1e-12)
 
 
@@ -222,22 +217,22 @@ def test_backward_batched_equals_sum_of_singles():
 # ---------------------------------------------------------------------------
 
 def test_adam_first_step_moves_by_learning_rate():
-    params = [np.array([1.0, -2.0])]
-    grads = [np.array([100.0, -0.5])]
+    params = np.array([1.0, -2.0])
+    grads = np.array([100.0, -0.5])
     state = nn.init_adam(params, learning_rate=0.01)
     new, state = nn.adam_step(params, grads, state)
     # bias-corrected first step is -lr * sign(g) up to epsilon
-    assert new[0][0] == pytest.approx(1.0 - 0.01, rel=1e-6)
-    assert new[0][1] == pytest.approx(-2.0 + 0.01, rel=1e-6)
+    assert new[0] == pytest.approx(1.0 - 0.01, rel=1e-6)
+    assert new[1] == pytest.approx(-2.0 + 0.01, rel=1e-6)
     assert state.step_count == 1
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = [np.array([1.0, 2.0])]
+    params = np.array([1.0, 2.0])
     state = nn.init_adam(params, learning_rate=0.1)
     for _ in range(3):
-        params, state = nn.adam_step(params, [np.zeros(2)], state)
-    assert np.array_equal(params[0], [1.0, 2.0])
+        params, state = nn.adam_step(params, np.zeros(2), state)
+    assert np.array_equal(params, [1.0, 2.0])
 
 
 def test_adam_two_steps_on_quadratic_match_hand_trace():
@@ -252,21 +247,58 @@ def test_adam_two_steps_on_quadratic_match_hand_trace():
         theta = theta - lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
         trace.append(theta)
 
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = nn.init_adam(params, learning_rate=lr)
     got = []
     for _ in range(2):
-        params, state = nn.adam_step(params, [2.0 * params[0]], state)
-        got.append(params[0][0])
+        params, state = nn.adam_step(params, 2.0 * params, state)
+        got.append(params[0])
     assert got == pytest.approx(trace, rel=1e-12)
     assert got[1] < got[0] < 1.0
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = [np.ones(2)]
+    params = np.ones(2)
     state = nn.init_adam(params, learning_rate=0.1)
     with pytest.raises(nn.TrainingDiverged, match="diverged"):
-        nn.adam_step(params, [np.array([1.0, np.nan])], state)
+        nn.adam_step(params, np.array([1.0, np.nan]), state)
+
+
+def _per_array_adam(params, grads, first, second, t, lr):
+    """Reference: Adam applied array by array, as before the flat parameter vector."""
+    b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPSILON
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, first, second):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, new_m, new_v
+
+
+def test_flat_adam_is_bit_identical_to_per_array_reference():
+    mlp = nn.init_mlp([3, 50, 50, 20], seed=41)  # the desk IDE's layout
+    rng = np.random.default_rng(42)
+    lr = 5e-4
+    arrays = [a.copy() for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    first = [np.zeros_like(a) for a in arrays]
+    second = [np.zeros_like(a) for a in arrays]
+    flat, state = mlp.params.copy(), nn.init_adam(mlp.params, learning_rate=lr)
+
+    def joined(parts):
+        return np.concatenate([a.ravel() for a in parts])
+
+    for t in (1, 2, 3):
+        grads = [rng.normal(size=a.shape) for a in arrays]
+        flat, state = nn.adam_step(flat, joined(grads), state)
+        arrays, first, second = _per_array_adam(arrays, grads, first, second, t, lr)
+        assert np.array_equal(flat, joined(arrays))
+        assert np.array_equal(state.first_moment, joined(first))
+        assert np.array_equal(state.second_moment, joined(second))
+    assert state.step_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +326,7 @@ def test_train_zero_epochs_returns_initial_parameters():
     report = nn.train(mlp, (x, y), (x, y), epochs=0, batch_size=4,
                       learning_rate=1e-3, seed=5)
     assert report.train_losses == [] and report.val_losses == []
-    assert all(np.array_equal(a, b)
-               for a, b in zip(nn.mlp_params(report.model), nn.mlp_params(mlp)))
+    assert np.array_equal(report.model.params, mlp.params)
 
 
 def test_train_is_deterministic():
@@ -307,8 +338,7 @@ def test_train_is_deterministic():
                   learning_rate=1e-3, seed=8)
     assert r1.train_losses == r2.train_losses
     assert r1.val_losses == r2.val_losses
-    assert all(np.array_equal(a, b)
-               for a, b in zip(nn.mlp_params(r1.model), nn.mlp_params(r2.model)))
+    assert np.array_equal(r1.model.params, r2.model.params)
 
 
 def test_full_batch_epoch_independent_of_record_order():
@@ -320,8 +350,7 @@ def test_full_batch_epoch_independent_of_record_order():
     r2 = nn.train(mlp, (x[perm], y[perm]), (x, y), epochs=1, batch_size=16,
                   learning_rate=1e-3, seed=12)
     assert r1.train_losses[0] == pytest.approx(r2.train_losses[0], rel=1e-12)
-    for a, b in zip(nn.mlp_params(r1.model), nn.mlp_params(r2.model)):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+    assert np.allclose(r1.model.params, r2.model.params, rtol=1e-12, atol=1e-14)
 
 
 def test_train_returns_best_validation_snapshot():
@@ -346,11 +375,11 @@ def test_train_divergence_carries_partial_history():
 
     calls = {"n": 0}
 
-    def poisoned(model, xb, yb):
+    def poisoned(model, x, y):
         calls["n"] += 1
         if calls["n"] >= 3:
-            return float("nan"), [np.zeros_like(p) for p in nn.mlp_params(model)]
-        return nn._supervised_loss_and_grads(model, xb, yb)
+            return float("nan"), np.zeros_like(model.params)
+        return nn._supervised_loss_and_grads(model, x, y)
 
     with pytest.raises(nn.TrainingDiverged) as exc:
         nn.train(mlp, (x, y), (x, y), epochs=10, batch_size=4,
@@ -390,3 +419,60 @@ def test_param_digest_tracks_changes():
     before = nn.param_digest(mlp)
     mlp.weights[0][0, 0] += 1e-15
     assert nn.param_digest(mlp) != before
+
+
+# ---------------------------------------------------------------------------
+# flat layout and model loader
+# ---------------------------------------------------------------------------
+
+def test_param_digest_golden_values():
+    # recorded with the per-array layout; the flat vector must hash the same bytes
+    assert nn.param_digest(nn.init_mlp([40, 100, 100, 3], seed=0)) == (
+        "96b4164e22301ad8620bfe123e22e0fc5caa679878aa78b4852f4fd4787bd516")
+    assert nn.param_digest(nn.init_mlp([3, 50, 50, 20], seed=1)) == (
+        "97eed2e304cf2628ea9940211450df898f7fe957c31bf436225cbd9ee4c69af6")
+
+
+def test_model_file_bytes_golden(tmp_path):
+    # recorded with the per-array layout; the file format must not drift
+    path = tmp_path / "model.json"
+    nn.save_model(nn.init_mlp([3, 50, 50, 20], seed=1), path, provenance={"kind": "x"})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "449f76958fb37c27733086da5aa9b7f2a0ff2f43a240914eb75b1cba45d0d036")
+
+
+def test_views_share_memory_with_params_and_copy_does_not():
+    mlp = nn.init_mlp([4, 6, 3], seed=2)
+    assert all(np.shares_memory(v, mlp.params) for v in mlp.weights + mlp.biases)
+    twin = mlp.copy()
+    assert np.array_equal(twin.params, mlp.params)
+    assert not np.shares_memory(twin.params, mlp.params)
+    assert not any(np.shares_memory(v, mlp.params) for v in twin.weights + twin.biases)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_FLOAT_ROWS = st.lists(st.lists(st.floats(), max_size=3), max_size=3)
+_MODEL_LIKE = st.fixed_dictionaries({}, optional={
+    "format_version": st.just(nn.MODEL_FORMAT_VERSION) | _JSON,
+    "hidden_activation": st.just("elu") | _JSON,
+    "layer_dims": st.lists(st.integers(-1, 4), max_size=4) | _JSON,
+    "weights": st.lists(_FLOAT_ROWS, max_size=3) | _JSON,
+    "biases": _FLOAT_ROWS | _JSON,
+    "provenance": _JSON,
+})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_MODEL_LIKE | _JSON)
+def test_model_loader_raises_only_value_errors(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.suppress(ValueError):
+        nn.mlp_from_dict(doc)
+    with contextlib.suppress(ValueError):
+        nn.load_model(path)
