@@ -12,6 +12,7 @@ and writes the same artifacts as the stage-by-stage chain.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -357,7 +358,19 @@ def _write_manifest(cfg: RunConfig, command: str, outcome: dict) -> None:
         f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _keep_freed_memory() -> None:
+    """Keep glibc from handing each training step's freed memory back to the kernel."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not glibc: leave the allocator alone
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()  # not at import: a library must not retune its host's allocator
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

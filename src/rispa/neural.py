@@ -81,14 +81,19 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
     return Mlp(layer_dims=dims, params=np.concatenate(parts))
 
 
+# branch-free: a select mispredicts on mixed signs; same values, but -0.0 -> +0.0
 def elu(x):
     x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.0, x, np.expm1(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def elu_grad(x):
     x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.0, 1.0, np.exp(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    return np.exp(out, out=out)
 
 
 def forward(mlp: Mlp, x, tape: Optional[list] = None) -> np.ndarray:
@@ -349,13 +354,15 @@ def mlp_from_dict(d) -> Mlp:
         raise ValueError("model is not a JSON object")
     if d.get("hidden_activation", "elu") != "elu":
         raise ValueError(f"unsupported activation {d.get('hidden_activation')!r}")
+    dims = d.get("layer_dims")
+    if not isinstance(dims, list) or any(type(v) is not int for v in dims):
+        raise ValueError(f"layer_dims must be a list of integers, not {dims!r}")
     try:
-        dims = [int(v) for v in d["layer_dims"]]
         arrays = [np.asarray(a, dtype=float)
                   for pair in zip(d["weights"], d["biases"], strict=True) for a in pair]
     except (KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed model: {e!r}") from e
-    mlp = Mlp(layer_dims=dims, params=np.concatenate([np.empty(0), *(a.ravel() for a in arrays)]))
+    mlp = Mlp(layer_dims=list(dims), params=np.concatenate([np.empty(0), *(a.ravel() for a in arrays)]))
     if [a.shape for a in arrays] != [v.shape for pair in zip(mlp.weights, mlp.biases) for v in pair]:
         raise ValueError(f"parameter shapes do not match layer_dims {dims}")
     if not np.all(np.isfinite(mlp.params)):

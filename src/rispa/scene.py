@@ -45,6 +45,9 @@ STATE_STEP_DEG = 45.0
 # largest allowed linear-amplitude spread across the 8 states, in dB
 MAX_AMPLITUDE_SPREAD_DB = 1.7
 
+# bounds the arrays a scene file can make the simulator allocate
+MAX_COLUMN_COUNT = 4096
+
 
 def state_phases_deg(states: np.ndarray) -> np.ndarray:
     """Reflection phase of each discrete state, in degrees (index * 45)."""
@@ -67,8 +70,12 @@ class Obstacle:
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
+        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
+            raise ValueError("obstacle positions must be [x, y, z] points")
         if self.positions.shape[0] != self.coefficients.shape[0]:
             raise ValueError("obstacle positions and coefficients must pair up")
+        if not np.all(np.isfinite(self.positions)):
+            raise ValueError("obstacle positions must be finite")
         mags = np.abs(self.coefficients)
         if not np.all(np.isfinite(mags)) or np.any(mags <= 0.0):
             raise ValueError("obstacle coefficients must be finite and nonzero")
@@ -131,10 +138,18 @@ class Scene:
         self.validate()
 
     def validate(self):
+        if self.feed_position.shape != (3,):
+            raise ValueError("feed_position must be one [x, y, z] point")
+        if self.probe_positions.ndim != 2 or self.probe_positions.shape[1] != 3:
+            raise ValueError("probe_positions must be [x, y, z] points")
+        if not all(np.all(np.isfinite(v)) for v in (
+                self.frequency, self.column_pitch, self.noise_sigma,
+                self.feed_position, self.probe_positions, self.amplitude_table)):
+            raise ValueError("scene values must be finite")
         if self.frequency <= 0.0:
             raise ValueError("frequency must be positive")
-        if self.column_count < 1:
-            raise ValueError("column_count must be >= 1")
+        if not 1 <= self.column_count <= MAX_COLUMN_COUNT:
+            raise ValueError(f"column_count must lie in 1..{MAX_COLUMN_COUNT}")
         if self.column_pitch <= 0.0:
             raise ValueError("column_pitch must be positive")
         if self.probe_positions.shape[0] < 1:
@@ -289,7 +304,10 @@ def scene_to_dict(scene: Scene) -> dict:
     return d
 
 
-def scene_from_dict(d: dict) -> Scene:
+def scene_from_dict(d) -> Scene:
+    """Build a Scene from a config document; a malformed document raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("scene config is not a JSON object")
     known = {
         "frequency_hz", "column_count", "column_pitch_m", "feed_position_m",
         "probe_positions_m", "noise_sigma", "amplitude_table", "obstacle",
@@ -298,21 +316,27 @@ def scene_from_dict(d: dict) -> Scene:
     if unknown:
         raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
     base = default_scene()
-    obstacle = None
-    if "obstacle" in d and d["obstacle"] is not None:
-        ob = d["obstacle"]
-        coeffs = np.array([complex(re, im) for re, im in ob["coefficients"]])
-        obstacle = Obstacle(positions=np.array(ob["positions_m"]), coefficients=coeffs)
-    return Scene(
-        frequency=float(d.get("frequency_hz", base.frequency)),
-        column_count=int(d.get("column_count", base.column_count)),
-        column_pitch=float(d.get("column_pitch_m", base.column_pitch)),
-        feed_position=np.array(d.get("feed_position_m", base.feed_position)),
-        probe_positions=np.array(d.get("probe_positions_m", base.probe_positions)),
-        obstacle=obstacle,
-        noise_sigma=float(d.get("noise_sigma", base.noise_sigma)),
-        amplitude_table=np.array(d.get("amplitude_table", base.amplitude_table)),
-    )
+    columns = d.get("column_count", base.column_count)
+    if type(columns) is not int:
+        raise ValueError(f"column_count must be an integer, not {columns!r}")
+    try:
+        obstacle = None
+        if d.get("obstacle") is not None:
+            ob = d["obstacle"]
+            coeffs = np.array([complex(re, im) for re, im in ob["coefficients"]])
+            obstacle = Obstacle(positions=np.array(ob["positions_m"]), coefficients=coeffs)
+        return Scene(
+            frequency=float(d.get("frequency_hz", base.frequency)),
+            column_count=columns,
+            column_pitch=float(d.get("column_pitch_m", base.column_pitch)),
+            feed_position=np.array(d.get("feed_position_m", base.feed_position)),
+            probe_positions=np.array(d.get("probe_positions_m", base.probe_positions)),
+            obstacle=obstacle,
+            noise_sigma=float(d.get("noise_sigma", base.noise_sigma)),
+            amplitude_table=np.array(d.get("amplitude_table", base.amplitude_table)),
+        )
+    except (KeyError, TypeError, OverflowError) as e:
+        raise ValueError(f"malformed scene config: {e!r}") from e
 
 
 def save_scene(scene: Scene, path) -> None:

@@ -1,6 +1,7 @@
 """CLI contract: stage chaining, dependency errors, digests, determinism."""
 
 import json
+import platform
 import subprocess
 import sys
 
@@ -139,6 +140,16 @@ def test_missing_scene_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"obstacle": {}}, {"column_count": None}, [1],
+                                 {"obstacle": {"positions_m": [[0, 0, 1]], "coefficients": [1]}}])
+def test_malformed_scene_file_is_one_line_config_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["collect", "--scene", str(path), *TINY], tmp_path) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: --scene: "), err
+
+
 def test_scene_digest_mismatch_refused_without_force(tmp_path, capsys):
     assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
     # different scene (nonzero noise changes the digest)
@@ -183,3 +194,43 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for flag in ("--scene", "--seed", "--preset", "--tau", "--force"):
         assert flag in proc.stdout
+
+
+# 3 warm-up steps, then the minor page faults of 20 desk-shape tandem steps
+_TANDEM_STEP_FAULTS = """
+import resource
+import numpy as np
+from rispa import cli, engines, neural
+from rispa.quantizer import QuantizerConfig
+cli._keep_freed_memory()
+ide = neural.init_mlp(engines.ide_layer_dims(), seed=0)
+fse = neural.init_mlp(engines.fse_layer_dims(), seed=1)
+y = np.random.default_rng(2).uniform(0.0, 1.0, size=(256, 3))
+state = neural.init_adam(ide.params, 1e-3)
+for step in range(23):
+    if step == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grads = engines.tandem_loss_and_grads(ide, fse, QuantizerConfig(), x=y, y=y)
+    ide.params[...], state = neural.adam_step(ide.params, grads, state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_cli_allocator_setting_stops_per_step_page_faults():
+    # without it a fresh process takes about 500 minor faults per step, as
+    # glibc trims each step's freed temporaries and the next step faults them back
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the setting is glibc's mallopt")
+    proc = subprocess.run([sys.executable, "-c", _TANDEM_STEP_FAULTS],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library])
+def test_allocator_setting_is_a_quiet_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None

@@ -300,6 +300,8 @@ MALFORMED_MODEL_FILES = {
     "no-layer-dims": ("fse", lambda d: _without(d, "layer_dims")),
     "top-level-list": ("fse", lambda d: [d]),
     "null-layer-dims": ("fse", lambda d: {**d, "layer_dims": None}),
+    "string-layer-dims": ("fse", lambda d: {**d, "layer_dims": "432"}),
+    "fractional-layer-dims": ("fse", lambda d: {**d, "layer_dims": [4.7, 3, 2]}),
     "missing-layer": ("fse", lambda d: {**d, "weights": d["weights"][:1], "biases": d["biases"][:1]}),
     "nan-weight": ("fse", _nan_first_weight),
     "transposed-layer": ("fse", lambda d: {

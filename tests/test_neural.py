@@ -69,6 +69,32 @@ def test_elu_values():
     assert nn.elu_grad(-2.0) == pytest.approx(math.exp(-2.0))
 
 
+def _select_elu(x):
+    """The select form elu/elu_grad replaced; kept here as their reference."""
+    with np.errstate(over="ignore"):
+        return np.where(x >= 0.0, x, np.expm1(x)), np.where(x >= 0.0, 1.0, np.exp(x))
+
+
+_ELU_EDGES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                       -2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 709.8, -745.2, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-8, 1.0, 30.0, 1e3, 1e300])
+def test_branch_free_elu_matches_select_form(scale):
+    x = np.random.default_rng(41).standard_normal((256, 100)) * scale
+    x.flat[:_ELU_EDGES.size] = _ELU_EDGES
+    want_value, want_grad = _select_elu(x)
+    assert np.array_equal(nn.elu(x), want_value, equal_nan=True)
+    assert np.array_equal(nn.elu_grad(x), want_grad, equal_nan=True)
+
+
+@pytest.mark.parametrize("x", [-3.5, -0.0, 0.0, 2.0, np.float64(-1e-300), np.array(-0.25)])
+def test_branch_free_elu_scalars_and_0d(x):
+    want_value, want_grad = _select_elu(np.asarray(x, dtype=float))
+    assert np.shape(nn.elu(x)) == () and np.shape(nn.elu_grad(x)) == ()
+    assert nn.elu(x) == want_value and nn.elu_grad(x) == want_grad
+
+
 def test_forward_zero_parameters_gives_zero():
     mlp = nn.init_mlp([4, 6, 3], seed=0)
     for w in mlp.weights:

@@ -1,10 +1,14 @@
 """Scene simulator tests, anchored by an independent brute-force field sum."""
 
 import cmath
+import contextlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rispa import scene as sc
 
@@ -240,3 +244,58 @@ def test_scenes_differ_only_in_obstacle():
     c = sc.default_scene()
     c.noise_sigma = 0.5
     assert not sc.scenes_differ_only_in_obstacle(a, c)
+
+
+MALFORMED_SCENES = {
+    "empty-obstacle": {"obstacle": {}},
+    "null-column-count": {"column_count": None},
+    "top-level-list": [{"frequency_hz": 1e10}],
+    "unpaired-coefficient": {"obstacle": {"positions_m": [[0.0, 0.0, 0.5]], "coefficients": [1]}},
+    "fractional-column-count": {"column_count": 2.5},
+    "huge-column-count": {"column_count": 10 ** 9},
+    "planar-probes": {"probe_positions_m": [[0.0, 1.0], [0.3, 1.0]]},
+    "two-d-feed": {"feed_position_m": [0.0, 0.5]},
+    "nan-frequency": {"frequency_hz": float("nan")},
+    "obstacle-in-plane": {"obstacle": {"positions_m": [[0.0, 0.5]], "coefficients": [[0.1, 0.0]]}},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCENES)
+def test_malformed_scene_configs_are_value_errors(tmp_path, case):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(MALFORMED_SCENES[case]))
+    with pytest.raises(ValueError):
+        sc.load_scene(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_POINT = st.lists(st.floats(-2.0, 2.0) | _JSON, min_size=2, max_size=4)
+_SCENE_LIKE = st.fixed_dictionaries({}, optional={
+    "frequency_hz": st.floats() | _JSON,
+    "column_count": st.integers(-2, 40) | _JSON,
+    "column_pitch_m": st.floats() | _JSON,
+    "feed_position_m": _POINT | _JSON,
+    "probe_positions_m": st.lists(_POINT, max_size=3) | _JSON,
+    "noise_sigma": st.floats() | _JSON,
+    "amplitude_table": st.lists(st.floats(0.0, 1.5), max_size=9) | _JSON,
+    "obstacle": st.fixed_dictionaries({}, optional={
+        "positions_m": st.lists(_POINT, max_size=3) | _JSON,
+        "coefficients": st.lists(st.lists(st.floats(), max_size=3) | _JSON, max_size=3) | _JSON,
+    }) | _JSON,
+})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_SCENE_LIKE | _JSON)
+def test_scene_loader_raises_only_value_errors(tmp_path, doc):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.suppress(ValueError):
+        sc.scene_from_dict(doc)
+    with contextlib.suppress(ValueError):
+        sc.load_scene(path)
