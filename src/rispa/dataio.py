@@ -8,7 +8,13 @@ indices (lossless), floats as shortest-round-trip decimals.
 
 All randomness flows from explicit integer seeds; per-record noise seeds are
 derived deterministically from the collection seed and the record index, so
-each record is reproducible on its own.
+each record is reproducible on its own. ``derive_seed`` takes the record
+indices as one array and hashes every seed in one vectorized pass, with the
+same values as one ``SeedSequence`` per record.
+
+The loaders trust nothing in a file: every header value and every number is
+type-checked and must be finite, and any violation is a ``DatasetFormatError``
+naming the offending line.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import hashlib
 import io
 import json
 import logging
+import sys
 from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write
-from .scene import STATE_COUNT, Scene, measure, scene_digest
+from .scene import MAX_COLUMN_COUNT, STATE_COUNT, Scene, measure, scene_digest
+from .seeding import seed_states
 
 logger = logging.getLogger(__name__)
 
@@ -33,10 +41,17 @@ DEFAULT_TARGET_LOW = 0.0
 DEFAULT_TARGET_HIGH = 0.6
 
 
-def derive_seed(master: int, *keys: int) -> int:
-    """Stable child seed from a master seed and integer keys (order matters)."""
-    ss = np.random.SeedSequence([int(master), *[int(k) for k in keys]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def derive_seed(master: int, *keys):
+    """Stable child seed from a master seed and integer keys (order matters).
+
+    Equals ``SeedSequence([master, *keys]).generate_state(1, np.uint64)[0]`` as a
+    Python int. The last key may be a 1-D integer array; the result is then a
+    uint64 array holding one child seed per entry, hashed in one pass.
+    """
+    *prefix, last = (master, *keys)
+    batch = np.ndim(last) == 1
+    seeds = seed_states(prefix, last if batch else np.array([int(last)], dtype=object), 1)[:, 0]
+    return seeds if batch else int(seeds[0])
 
 
 class DatasetFormatError(ValueError):
@@ -170,7 +185,7 @@ def collect(scene: Scene, count: int, seed: int) -> ScatterDataset:
     profiles = rng.integers(0, STATE_COUNT, size=(count, scene.column_count))
     noise_seeds = None
     if scene.noise_sigma > 0.0:
-        noise_seeds = [derive_seed(seed, _NOISE_KEY, i) for i in range(count)]
+        noise_seeds = derive_seed(seed, _NOISE_KEY, np.arange(count))
     raw = measure(scene, profiles, noise_seeds)
 
     ds = ScatterDataset(
@@ -265,11 +280,47 @@ def _parse_json_line(path, line_no: int, text: str) -> dict:
     return obj
 
 
-def _header_positive_int(path, header: dict, key: str) -> int:
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _header_field(path, header: dict, key: str, valid, expected: str):
     value = header.get(key)
-    if not isinstance(value, int) or value < 1:
-        raise DatasetFormatError(path, 1, f"header {key} must be a positive integer")
+    if not valid(value):
+        raise DatasetFormatError(path, 1, f"header {key} must be {expected}, got {value!r}")
     return value
+
+
+def _header_positive_int(path, header: dict, key: str) -> int:
+    return _header_field(path, header, key, lambda v: type(v) is int and v >= 1,
+                         "a positive integer")
+
+
+def _header_seed(path, header: dict) -> int:
+    return _header_field(path, header, "seed", lambda v: type(v) is int and v >= 0,
+                         "a non-negative integer")
+
+
+def _header_number(path, header: dict, key: str) -> float:
+    return float(_header_field(path, header, key, _finite_number, "a finite number"))
+
+
+def _number_rows(path, records, key: str, what: str) -> np.ndarray:
+    """(records, width) floats from each record's ``key``: equal-length lists of finite numbers."""
+    first = records[0].get(key)
+    width = len(first) if isinstance(first, list) else 0
+    rows = np.empty((len(records), width))
+    for i, rec in enumerate(records):
+        values = rec.get(key)
+        if (width == 0 or not isinstance(values, list) or len(values) != width
+                or not all(_finite_number(v) for v in values)):
+            raise DatasetFormatError(
+                path, i + 2, f"{what} must be a non-empty list of finite numbers, "
+                f"as long as the first record's",
+            )
+        rows[i] = values
+    return rows
 
 
 def _read_records(path, f, expected_format: str):
@@ -304,8 +355,13 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
     with open(path, "r", encoding="utf-8") as f:
         header, records = _read_records(path, f, SCATTER_FORMAT)
     cols = _header_positive_int(path, header, "column_count")
+    if cols > MAX_COLUMN_COUNT:
+        raise DatasetFormatError(path, 1, f"header column_count exceeds {MAX_COLUMN_COUNT}")
+    i_max = float(_header_field(path, header, "i_max", lambda v: _finite_number(v) and v > 0,
+                                "a positive finite number"))
+    seed = _header_seed(path, header)
+    digest = _header_field(path, header, "scene_digest", lambda v: isinstance(v, str), "a string")
     profiles = np.empty((len(records), cols), dtype=int)
-    raw = np.empty((len(records), len(records[0].get("raw", []))))
     for i, rec in enumerate(records):
         line_no = i + 2
         profile = rec.get("profile")
@@ -314,20 +370,11 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
                 path, line_no,
                 f"profile must hold {cols} states, got {len(profile) if isinstance(profile, list) else profile!r}",
             )
-        if any((not isinstance(s, int)) or s < 0 or s >= STATE_COUNT for s in profile):
+        if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in profile):
             raise DatasetFormatError(path, line_no, "state indices must be integers in 0..7")
-        values = rec.get("raw")
-        if not isinstance(values, list) or len(values) != raw.shape[1]:
-            raise DatasetFormatError(path, line_no, "raw intensity triple malformed")
         profiles[i] = profile
-        raw[i] = values
-    ds = ScatterDataset(
-        profiles=profiles,
-        raw=raw,
-        i_max=float(header["i_max"]),
-        seed=int(header["seed"]),
-        scene_digest=str(header["scene_digest"]),
-    )
+    raw = _number_rows(path, records, "raw", "raw intensities")
+    ds = ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
     if expected_scene_digest is not None and ds.scene_digest != expected_scene_digest:
         logger.warning(
             "scene digest mismatch: dataset %s was collected on %.12s..., expected %.12s...",
@@ -358,16 +405,9 @@ def save_targets(ds: TargetDataset, path) -> None:
 def load_targets(path) -> TargetDataset:
     with open(path, "r", encoding="utf-8") as f:
         header, records = _read_records(path, f, TARGET_FORMAT)
-    width = len(records[0].get("target", []))
-    targets = np.empty((len(records), width))
-    for i, rec in enumerate(records):
-        t = rec.get("target")
-        if not isinstance(t, list) or len(t) != width:
-            raise DatasetFormatError(path, i + 2, "target triple malformed")
-        targets[i] = t
     return TargetDataset(
-        targets=targets,
-        low=float(header["low"]),
-        high=float(header["high"]),
-        seed=int(header["seed"]),
+        targets=_number_rows(path, records, "target", "target"),
+        low=_header_number(path, header, "low"),
+        high=_header_number(path, header, "high"),
+        seed=_header_seed(path, header),
     )

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import neural
-from .dataio import ScatterDataset, TargetDataset
+from .dataio import ScatterDataset, TargetDataset, derive_seed
 from .neural import Mlp, TrainReport
 from .quantizer import (
     QuantizerConfig,
@@ -285,8 +285,6 @@ def closed_loop_eval(
     defined on that scale). When the scene is noisy and ``noise_seed`` is set,
     each measurement uses a per-record derived seed.
     """
-    from .dataio import derive_seed  # local import keeps module deps one-way
-
     if len(targets) == 0:
         raise ValueError("empty target set")
     if not fse.i_max > 0.0:
@@ -300,7 +298,7 @@ def closed_loop_eval(
 
     noise_seeds = None
     if noise_seed is not None and scene.noise_sigma > 0.0:
-        noise_seeds = [derive_seed(noise_seed, i) for i in range(len(t))]
+        noise_seeds = derive_seed(noise_seed, np.arange(len(t)))
     measured = measure(scene, profiles, noise_seeds) / fse.i_max
 
     return EvalResult(

@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .atomic import atomic_write
+from .seeding import default_rngs
 
 SPEED_OF_LIGHT_M_PER_S = 299792458.0
 
@@ -47,6 +48,17 @@ MAX_AMPLITUDE_SPREAD_DB = 1.7
 
 # bounds the arrays a scene file can make the simulator allocate
 MAX_COLUMN_COUNT = 4096
+
+# bounds every coordinate, in meters: the scene is a 1-m desk set-up, and distances
+# between points this far apart stay far from float overflow
+MAX_COORDINATE_M = 1000.0
+
+
+def _check_coordinates(name: str, points: np.ndarray) -> None:
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.abs(points) > MAX_COORDINATE_M):
+        raise ValueError(f"{name} must lie within {MAX_COORDINATE_M:g} m of the origin on each axis")
 
 
 def state_phases_deg(states: np.ndarray) -> np.ndarray:
@@ -74,8 +86,7 @@ class Obstacle:
             raise ValueError("obstacle positions must be [x, y, z] points")
         if self.positions.shape[0] != self.coefficients.shape[0]:
             raise ValueError("obstacle positions and coefficients must pair up")
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("obstacle positions must be finite")
+        _check_coordinates("obstacle positions", self.positions)
         mags = np.abs(self.coefficients)
         if not np.all(np.isfinite(mags)) or np.any(mags <= 0.0):
             raise ValueError("obstacle coefficients must be finite and nonzero")
@@ -152,6 +163,10 @@ class Scene:
             raise ValueError(f"column_count must lie in 1..{MAX_COLUMN_COUNT}")
         if self.column_pitch <= 0.0:
             raise ValueError("column_pitch must be positive")
+        if float(self.column_pitch) * (self.column_count - 1) / 2.0 > MAX_COORDINATE_M:
+            raise ValueError(f"columns must lie within {MAX_COORDINATE_M:g} m of the origin")
+        _check_coordinates("feed_position", self.feed_position)
+        _check_coordinates("probe_positions", self.probe_positions)
         if self.probe_positions.shape[0] < 1:
             raise ValueError("at least one probe is required")
         if self.noise_sigma < 0.0:
@@ -160,7 +175,8 @@ class Scene:
             raise ValueError(f"amplitude_table must hold {STATE_COUNT} values")
         if np.any(self.amplitude_table <= 0.0) or np.any(self.amplitude_table > 1.0):
             raise ValueError("amplitudes must lie in (0, 1]")
-        spread_db = 20.0 * np.log10(self.amplitude_table.max() / self.amplitude_table.min())
+        # a difference of logs: the ratio of a subnormal amplitude would overflow
+        spread_db = 20.0 * (np.log10(self.amplitude_table.max()) - np.log10(self.amplitude_table.min()))
         if spread_db > MAX_AMPLITUDE_SPREAD_DB + 1e-9:
             raise ValueError(f"amplitude spread {spread_db:.3f} dB exceeds {MAX_AMPLITUDE_SPREAD_DB} dB")
         cols = column_positions(self)
@@ -249,18 +265,26 @@ def measure(scene: Scene, profiles, noise_seeds=None) -> np.ndarray:
     """Raw probe intensities, one row per profile, from one transfer matrix.
 
     With ``noise_seeds``, row i is multiplied by (1 + noise_sigma * n), n drawn
-    standard normal from ``default_rng(noise_seeds[i])``, then clamped at zero.
-    Rows are computed one at a time because one (n, N) @ (N, P) product rounds
-    differently in the last bits.
+    standard normal from the stream of ``default_rng(noise_seeds[i])``, then
+    clamped at zero. The generators come from ``seeding.default_rngs``, which
+    hashes the PCG64 states of all rows in one pass instead of making one
+    ``SeedSequence`` per row. The column weights are computed for the whole
+    batch, but the product with the transfer matrix stays one row at a time
+    because one (n, N) @ (N, P) product rounds differently in the last bits.
     """
     t = transfer_matrix(scene)
-    out = np.empty((len(profiles), scene.probe_count))
-    for i, profile in enumerate(profiles):
-        intensities = np.abs(t @ column_weights(scene, profile)) ** 2
-        if noise_seeds is not None:
-            rng = np.random.default_rng(noise_seeds[i])
-            intensities = intensities * (1.0 + scene.noise_sigma * rng.standard_normal(scene.probe_count))
-            intensities = np.maximum(intensities, 0.0)
+    weights = column_weights(scene, profiles)
+    rngs = None
+    if noise_seeds is not None:
+        if len(noise_seeds) != len(weights):
+            raise ValueError("measure needs one noise seed per profile")
+        rngs = default_rngs(noise_seeds)
+    out = np.empty((len(weights), scene.probe_count))
+    for i, w in enumerate(weights):
+        intensities = np.abs(t @ w) ** 2
+        if rngs is not None:
+            noise = next(rngs).standard_normal(scene.probe_count)
+            intensities = np.maximum(intensities * (1.0 + scene.noise_sigma * noise), 0.0)
         out[i] = intensities
     return out
 

@@ -1,9 +1,12 @@
 """Dataset collection, splitting, generation, and JSONL persistence."""
 
+import contextlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rispa.dataio import (
     DatasetFormatError,
@@ -260,3 +263,125 @@ def test_dataset_validation():
                        i_max=1.0, seed=0, scene_digest="")
     with pytest.raises(ValueError):
         TargetDataset(targets=np.array([[0.1, 0.2, 0.9]]), low=0.0, high=0.6)
+
+
+# ---------------------------------------------------------------------------
+# hostile files
+# ---------------------------------------------------------------------------
+
+def _edited(path, line_index, edit):
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[line_index])
+    edit(doc)
+    lines[line_index] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+MALFORMED_SCATTER = {
+    "null-i_max": (0, _set("i_max", None)),
+    "string-i_max": (0, _set("i_max", "1.5")),
+    "zero-i_max": (0, _set("i_max", 0.0)),
+    "missing-seed": (0, _drop("seed")),
+    "negative-seed": (0, _set("seed", -3)),
+    "null-scene_digest": (0, _set("scene_digest", None)),
+    "huge-column_count": (0, _set("column_count", 10**12)),
+    "null-raw-value": (3, _set("raw", [0.1, None, 0.3])),
+    "nan-raw-value": (3, _set("raw", [0.1, float("nan"), 0.3])),
+    "huge-raw-value": (3, _set("raw", [0.1, 10**400, 0.3])),
+    "string-raw-value": (3, _set("raw", [0.1, "0.2", 0.3])),
+    "bool-raw-value": (3, _set("raw", [0.1, True, 0.3])),
+    "scalar-raw": (1, _set("raw", 5)),
+    "empty-raw": (1, _set("raw", [])),
+    "bool-state": (2, lambda doc: doc["profile"].__setitem__(0, True)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCATTER)
+def test_malformed_scatter_files_name_the_line(tmp_path, small_dataset, case):
+    path = tmp_path / "data.jsonl"
+    save_scatter(small_dataset, path)
+    line_index, edit = MALFORMED_SCATTER[case]
+    if case == "empty-raw":  # every record, so that no width can be inferred
+        for i in range(1, len(small_dataset) + 1):
+            _edited(path, i, edit)
+    else:
+        _edited(path, line_index, edit)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_scatter(path)
+    assert exc.value.line == line_index + 1
+
+
+MALFORMED_TARGETS = {
+    "null-low": (0, _set("low", None)),
+    "missing-high": (0, _drop("high")),
+    "missing-seed": (0, _drop("seed")),
+    "inf-high": (0, _set("high", float("inf"))),
+    "nan-target": (2, _set("target", [0.1, float("nan"), 0.3])),
+    "null-target": (2, _set("target", None)),
+    "short-target": (4, _set("target", [0.1, 0.2])),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TARGETS)
+def test_malformed_target_files_name_the_line(tmp_path, case):
+    path = tmp_path / "targets.jsonl"
+    save_targets(generate_targets(6, seed=8), path)
+    line_index, edit = MALFORMED_TARGETS[case]
+    _edited(path, line_index, edit)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_targets(path)
+    assert exc.value.line == line_index + 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_DROP = object()
+_ROW = st.lists(st.floats() | st.integers() | _JSON, min_size=2, max_size=4)
+# (line, key, new value or _DROP): edits of a valid three-record file
+_EDITS = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["format", "version", "count", "column_count", "i_max", "seed",
+                     "scene_digest", "low", "high", "profile", "raw", "target"]),
+    st.just(_DROP) | _ROW | _JSON,
+), min_size=1, max_size=3)
+
+
+def _apply(text, edits) -> str:
+    docs = [json.loads(line) for line in text.splitlines()]
+    for line, key, value in edits:
+        if value is _DROP:
+            docs[line].pop(key, None)
+        else:
+            docs[line][key] = value
+    return "".join(json.dumps(doc) + "\n" for doc in docs)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scatter_edits=_EDITS, target_edits=_EDITS)
+def test_dataset_loaders_raise_only_value_errors(tmp_path, scatter_edits, target_edits):
+    path = tmp_path / "data.jsonl"
+    save_scatter(collect(default_scene(), count=3, seed=1), path)
+    scatter = _apply(path.read_text(), scatter_edits)
+    save_targets(generate_targets(3, seed=2), path)
+    targets = _apply(path.read_text(), target_edits)
+    for text, load in ((scatter, load_scatter), (targets, load_targets)):
+        path.write_text(text)
+        with contextlib.suppress(ValueError):
+            ds = load(path)
+            values = ds.raw if load is load_scatter else ds.targets
+            assert values.size > 0 and np.all(np.isfinite(values))
+            assert type(ds.seed) is int
+            if load is load_scatter:
+                assert isinstance(ds.scene_digest, str)

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import json
+import warnings
 import math
 
 import numpy as np
@@ -299,3 +300,29 @@ def test_scene_loader_raises_only_value_errors(tmp_path, doc):
         sc.scene_from_dict(doc)
     with contextlib.suppress(ValueError):
         sc.load_scene(path)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"feed_position_m": [1e308, 0.0, 1.0]},
+    {"probe_positions_m": [[1e308, 0.0, 1.0]]},
+    {"probe_positions_m": [[0.0, -1001.0, 1.0]]},
+    {"column_pitch_m": 1e306},
+    {"column_count": 4096, "column_pitch_m": 0.5},
+    {"obstacle": {"positions_m": [[0.0, 0.0, 1e308]], "coefficients": [[0.1, 0.0]]}},
+    {"amplitude_table": [1.0] * 7 + [5e-324]},
+])
+def test_far_coordinates_are_rejected_without_warnings(overrides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            sc.scene_from_dict(overrides)
+
+
+def test_coordinates_at_the_bound_still_measure():
+    bound = sc.MAX_COORDINATE_M
+    scene = sc.scene_from_dict({"probe_positions_m": [[bound, -bound, bound]],
+                                "feed_position_m": [0.0, 0.0, -bound]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = sc.simulate_raw(scene, np.zeros(20, dtype=int), noise_seed=1)
+    assert np.all(np.isfinite(raw)) and np.all(raw > 0.0)
