@@ -371,7 +371,8 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
                 f"profile must hold {cols} states, got {len(profile) if isinstance(profile, list) else profile!r}",
             )
         if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in profile):
-            raise DatasetFormatError(path, line_no, "state indices must be integers in 0..7")
+            raise DatasetFormatError(path, line_no,
+                                     f"state indices must be integers in 0..{STATE_COUNT - 1}")
         profiles[i] = profile
     raw = _number_rows(path, records, "raw", "raw intensities")
     ds = ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import neural
-from .dataio import ScatterDataset, TargetDataset, derive_seed
+from .dataio import ScatterDataset, TargetDataset, _finite_number, derive_seed
 from .neural import Mlp, TrainReport
 from .quantizer import (
     QuantizerConfig,
@@ -30,16 +30,10 @@ from .quantizer import (
     quantize_hard,
     quantize_soft_with_grad,
 )
-from .scene import Scene, measure, state_phases_deg
+from .scene import MAX_COLUMN_COUNT, STATE_COUNT, STATE_STEP_DEG, Scene, measure, state_phases_deg
 
 FSE_HIDDEN = (100, 100)
 IDE_HIDDEN = (50, 50)
-
-DEFAULT_FSE_EPOCHS = 10000
-DEFAULT_FSE_LR = 0.0001
-DEFAULT_IDE_EPOCHS = 6000
-DEFAULT_IDE_LR = 0.0005
-DEFAULT_BATCH_SIZE = 256
 
 
 def fse_layer_dims(column_count: int = 20, probe_count: int = 3):
@@ -115,9 +109,9 @@ def profile_encoding(profiles) -> np.ndarray:
 def train_fse(
     train_set: ScatterDataset,
     val_set: ScatterDataset,
-    epochs: int = DEFAULT_FSE_EPOCHS,
-    learning_rate: float = DEFAULT_FSE_LR,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    epochs: int,
+    learning_rate: float,
+    batch_size: int,
     seed: int = 0,
     init: Optional[Mlp] = None,
 ) -> Tuple[FseModel, TrainReport]:
@@ -196,9 +190,9 @@ def train_ide(
     fse: FseModel,
     train_targets: TargetDataset,
     val_targets: TargetDataset,
-    epochs: int = DEFAULT_IDE_EPOCHS,
-    learning_rate: float = DEFAULT_IDE_LR,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    epochs: int,
+    learning_rate: float,
+    batch_size: int,
     seed: int = 0,
     qcfg: Optional[QuantizerConfig] = None,
     init: Optional[Mlp] = None,
@@ -255,7 +249,7 @@ def design_batch(ide: IdeModel, targets: np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
     raw = neural.forward(ide.mlp, targets)
-    return np.asarray(quantize_hard(ide_output_to_angles(raw), ide.quantizer))
+    return np.asarray(quantize_hard(ide_output_to_angles(raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +319,43 @@ def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, targets: TargetDataset) -> f
 # Model bundle I/O
 # ---------------------------------------------------------------------------
 
+_POSITIVE = (lambda v: _finite_number(v) and v > 0, "a positive finite number")
+_FINITE = (_finite_number, "a finite number")
+_DIGEST = (lambda v: isinstance(v, str), "a string")
+
+# provenance key -> (test on the JSON value, what the value must be)
+_PROVENANCE_RULES = {
+    "column_count": (lambda v: type(v) is int and 1 <= v <= MAX_COLUMN_COUNT,
+                     f"an integer in 1..{MAX_COLUMN_COUNT}"),
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "i_max": _POSITIVE,
+    "temperature": _POSITIVE,
+    "target_low": _FINITE,
+    "target_high": _FINITE,
+    "scene_digest": _DIGEST,
+    "dataset_digest": _DIGEST,
+    "fse_digest": _DIGEST,
+    "quantizer": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _provenance(path, block: dict, key: str):
+    """``block[key]`` if it passes its rule; otherwise a ValueError naming the path."""
+    valid, expected = _PROVENANCE_RULES[key]
+    value = block.get(key)
+    if not valid(value):
+        raise ValueError(f"{path}: provenance {key} must be {expected}, got {value!r}")
+    return value
+
+
+def _load_provenance(path, kind: str, what: str):
+    """The network and provenance block of a model file of ``kind``."""
+    mlp, prov = neural.load_model(path)
+    if not isinstance(prov, dict) or prov.get("kind") != kind:
+        raise ValueError(f"{path} is not {what} model file")
+    return mlp, prov
+
+
 def save_fse(model: FseModel, path) -> None:
     neural.save_model(model.mlp, path, provenance={
         "kind": "fse",
@@ -337,20 +368,16 @@ def save_fse(model: FseModel, path) -> None:
 
 
 def load_fse(path) -> FseModel:
-    mlp, prov = neural.load_model(path)
-    try:
-        if prov.get("kind") != "fse":
-            raise ValueError(f"{path} is not a forward-surrogate model file")
-        return FseModel(
-            mlp=mlp,
-            column_count=int(prov["column_count"]),
-            i_max=float(prov["i_max"]),
-            scene_digest=prov.get("scene_digest", ""),
-            dataset_digest=prov.get("dataset_digest", ""),
-            seed=int(prov.get("seed", 0)),
-        )
-    except (KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"{path}: malformed provenance: {e!r}") from e
+    """Load a surrogate; every provenance field must be present with its exact JSON type."""
+    mlp, prov = _load_provenance(path, "fse", "a forward-surrogate")
+    return FseModel(
+        mlp=mlp,
+        column_count=_provenance(path, prov, "column_count"),
+        i_max=float(_provenance(path, prov, "i_max")),
+        scene_digest=_provenance(path, prov, "scene_digest"),
+        dataset_digest=_provenance(path, prov, "dataset_digest"),
+        seed=_provenance(path, prov, "seed"),
+    )
 
 
 def save_ide(model: IdeModel, path) -> None:
@@ -358,8 +385,8 @@ def save_ide(model: IdeModel, path) -> None:
         "kind": "ide",
         "fse_digest": model.fse_digest,
         "quantizer": {
-            "state_count": model.quantizer.state_count,
-            "step_degrees": model.quantizer.step_degrees,
+            "state_count": STATE_COUNT,
+            "step_degrees": STATE_STEP_DEG,
             "temperature": model.quantizer.temperature,
         },
         "column_count": model.column_count,
@@ -370,23 +397,23 @@ def save_ide(model: IdeModel, path) -> None:
 
 
 def load_ide(path) -> IdeModel:
-    mlp, prov = neural.load_model(path)
-    try:
-        if prov.get("kind") != "ide":
-            raise ValueError(f"{path} is not an inverse-design model file")
-        q = prov.get("quantizer", {})
-        return IdeModel(
-            mlp=mlp,
-            fse_digest=prov.get("fse_digest", ""),
-            quantizer=QuantizerConfig(
-                state_count=int(q.get("state_count", 8)),
-                step_degrees=float(q.get("step_degrees", 45.0)),
-                temperature=float(q.get("temperature", 10.0)),
-            ),
-            column_count=int(prov.get("column_count", 20)),
-            target_low=float(prov.get("target_low", 0.0)),
-            target_high=float(prov.get("target_high", 0.6)),
-            seed=int(prov.get("seed", 0)),
-        )
-    except (KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"{path}: malformed provenance: {e!r}") from e
+    """Load an inverse designer; as ``load_fse``, and its quantizer must be on the scene's grid."""
+    mlp, prov = _load_provenance(path, "ide", "an inverse-design")
+    q = _provenance(path, prov, "quantizer")
+    grid = (q.get("state_count"), q.get("step_degrees"))
+    if type(grid[0]) is not int or grid != (STATE_COUNT, STATE_STEP_DEG):
+        raise ValueError(f"{path}: the quantizer grid must be {STATE_COUNT} states of "
+                         f"{STATE_STEP_DEG:g} degrees, got {grid[0]!r} of {grid[1]!r}")
+    low = float(_provenance(path, prov, "target_low"))
+    high = float(_provenance(path, prov, "target_high"))
+    if not low < high:
+        raise ValueError(f"{path}: provenance target_low {low!r} must be below target_high {high!r}")
+    return IdeModel(
+        mlp=mlp,
+        fse_digest=_provenance(path, prov, "fse_digest"),
+        quantizer=QuantizerConfig(temperature=float(_provenance(path, q, "temperature"))),
+        column_count=_provenance(path, prov, "column_count"),
+        target_low=low,
+        target_high=high,
+        seed=_provenance(path, prov, "seed"),
+    )

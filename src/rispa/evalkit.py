@@ -24,7 +24,7 @@ from .dataio import SCATTER_SPLIT, TARGET_SPLIT, SplitSpec, derive_seed
 from .engines import EvalResult, FseModel, IdeModel
 from .neural import TrainReport
 from .quantizer import QuantizerConfig
-from .scene import Scene, scene_digest, scenes_differ_only_in_obstacle, simulate
+from .scene import MAX_NOISE_SIGMA, Scene, scene_digest, scenes_differ_only_in_obstacle, simulate
 
 logger = logging.getLogger(__name__)
 
@@ -73,10 +73,10 @@ class PipelineSettings:
         for name in ("lr_fse", "lr_ide"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-        if self.noise_sigma is not None and self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
+        if self.noise_sigma is not None and not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
         if not self.target_low < self.target_high:
             raise ValueError("target_low must be < target_high")
 

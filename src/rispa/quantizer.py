@@ -16,13 +16,15 @@ exp(-2 sin(22.5 deg) sin(d) / tau_rad), about 0.02 at d = 1.5 deg and
 tau = 0.3 deg, so near ties the staircase settles on the hard centers only
 for tau well below one degree.
 
-The state count must be even: state s + n/2 has the opposite phasor and score,
-so with a_s = cos(theta - phi_s)/tau_rad and b_s = sin(theta - phi_s)/tau_rad for
-s < n/2 (linear in cos theta and sin theta) the sums fold into antipodal pairs,
+The 8 states form 4 antipodal pairs: state s + 4 has the opposite phasor and
+score, so with a_s = cos(theta - phi_s)/tau_rad and b_s = sin(theta - phi_s)/tau_rad
+for s < 4 (linear in cos theta and sin theta) the sums fold into the pairs,
 z ∝ sum_s sinh(a_s) e^{j phi_s} and dz/dtheta ∝ -sum_s cosh(a_s) b_s e^{j phi_s}.
 Both exps are scaled by e^{-max|a|}, which keeps tau = 0.1 deg finite. The
 sums run on real arrays in a fixed order, never as a matrix product: the
 quantizer makes no BLAS call, so its bits do not depend on the BLAS threads.
+The grid itself is ``scene.STATE_COUNT`` states of ``scene.STATE_STEP_DEG``;
+this module only reads it.
 
 A straight-through estimator (hard forward pass, identity gradient) would be
 the usual alternative; it is deliberately not implemented here because the
@@ -36,37 +38,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import STATE_COUNT, STATE_STEP_DEG
+from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
+
+# cos and sin of the first half of the state phases; each state pairs with its antipode
+_PAIR_PHASES = np.radians(state_phases_deg(np.arange(STATE_COUNT // 2)))
+_PAIR_COS, _PAIR_SIN = np.cos(_PAIR_PHASES).tolist(), np.sin(_PAIR_PHASES).tolist()
 
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    state_count: int = STATE_COUNT
-    step_degrees: float = STATE_STEP_DEG
     temperature: float = 10.0
 
     def __post_init__(self):
-        if abs(self.state_count * self.step_degrees - 360.0) > 1e-9:
-            raise ValueError("state_count * step_degrees must equal 360 degrees")
-        if self.state_count % 2:
-            raise ValueError("state_count must be even: states pair with their antipodes")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-
-    @property
-    def centers_deg(self) -> np.ndarray:
-        return np.arange(self.state_count) * self.step_degrees
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
 
 
-def quantize_hard(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
-    """Nearest state index under cyclic distance; ties round to the higher index mod 8.
+def quantize_hard(angle_deg):
+    """Nearest state index under cyclic distance; ties round to the higher index mod ``STATE_COUNT``.
 
     Accepts scalars or arrays of angles in degrees (any real value; reduced
     cyclically). floor(angle/step + 1/2) lands exact midpoints on the upper
     state, which is precisely the declared tie rule.
     """
     angle = np.asarray(angle_deg, dtype=float)
-    idx = np.floor(angle / cfg.step_degrees + 0.5).astype(int) % cfg.state_count
+    idx = np.floor(angle / STATE_STEP_DEG + 0.5).astype(int) % STATE_COUNT
     if idx.ndim == 0:
         return int(idx)
     return idx
@@ -84,10 +80,8 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig())
     theta = np.radians(np.atleast_1d(angle))
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     tau = np.radians(cfg.temperature)
-    phis = np.radians(cfg.centers_deg[: cfg.state_count // 2])
-    cos_p, sin_p = np.cos(phis).tolist(), np.sin(phis).tolist()
-    a = [cos_t * (c / tau) + sin_t * (s / tau) for c, s in zip(cos_p, sin_p)]
-    b = [sin_t * (c / tau) - cos_t * (s / tau) for c, s in zip(cos_p, sin_p)]
+    a = [cos_t * (c / tau) + sin_t * (s / tau) for c, s in zip(_PAIR_COS, _PAIR_SIN)]
+    b = [sin_t * (c / tau) - cos_t * (s / tau) for c, s in zip(_PAIR_COS, _PAIR_SIN)]
     neg_m = -functools.reduce(np.maximum, map(np.abs, a))
     sinh, cosh_b = [], []   # 2 e^{-m} sinh(a_s) and 2 e^{-m} cosh(a_s) b_s
     for x, y in zip(a, b):
@@ -96,10 +90,10 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig())
         down = np.exp(np.subtract(neg_m, x, out=x), out=x)
         sinh.append(up - down)
         cosh_b.append(np.multiply(np.add(down, up, out=down), y, out=down))
-    zr, zi = _pair_sum(sinh, cos_p), _pair_sum(sinh, sin_p)
+    zr, zi = _pair_sum(sinh, _PAIR_COS), _pair_sum(sinh, _PAIR_SIN)
     out = np.degrees(np.arctan2(zi, zr)) % 360.0
     # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
-    grad = (zi * _pair_sum(cosh_b, cos_p) - zr * _pair_sum(cosh_b, sin_p)) / (zr * zr + zi * zi)
+    grad = (zi * _pair_sum(cosh_b, _PAIR_COS) - zr * _pair_sum(cosh_b, _PAIR_SIN)) / (zr * zr + zi * zi)
     if angle.ndim == 0:
         return float(out[0]), float(grad[0])
     return out, grad

@@ -46,6 +46,9 @@ STATE_STEP_DEG = 45.0
 # largest allowed linear-amplitude spread across the 8 states, in dB
 MAX_AMPLITUDE_SPREAD_DB = 1.7
 
+# largest relative standard deviation of the intensity noise: 100%
+MAX_NOISE_SIGMA = 1.0
+
 # bounds the arrays a scene file can make the simulator allocate
 MAX_COLUMN_COUNT = 4096
 
@@ -67,9 +70,9 @@ def state_phases_deg(states: np.ndarray) -> np.ndarray:
 
 
 def default_amplitude_table() -> np.ndarray:
-    """dB-linear amplitude ramp: state s reflects at -1.7*s/7 dB (max spread 1.7 dB)."""
+    """dB-linear amplitude ramp: state s reflects at -1.7*s/(STATE_COUNT - 1) dB (max spread 1.7 dB)."""
     s = np.arange(STATE_COUNT, dtype=float)
-    return 10.0 ** (-MAX_AMPLITUDE_SPREAD_DB * s / (7.0 * 20.0))
+    return 10.0 ** (-MAX_AMPLITUDE_SPREAD_DB * s / ((STATE_COUNT - 1) * 20.0))
 
 
 @dataclass
@@ -169,8 +172,8 @@ class Scene:
         _check_coordinates("probe_positions", self.probe_positions)
         if self.probe_positions.shape[0] < 1:
             raise ValueError("at least one probe is required")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
         if self.amplitude_table.shape != (STATE_COUNT,):
             raise ValueError(f"amplitude_table must hold {STATE_COUNT} values")
         if np.any(self.amplitude_table <= 0.0) or np.any(self.amplitude_table > 1.0):

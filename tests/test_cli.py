@@ -60,8 +60,8 @@ def test_pipeline_matches_stagewise_chain(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--batch", "0"], ["--tau", "-1"], ["--profiles", "2"], ["--epochs-fse", "0"],
-    ["--lr-ide", "0"], ["--noise", "-0.1"],
+    ["--batch", "0"], ["--tau", "-1"], ["--tau", "inf"], ["--profiles", "2"], ["--epochs-fse", "0"],
+    ["--lr-ide", "0"], ["--noise", "-0.1"], ["--noise", "1e308"],
 ], ids=lambda flags: " ".join(flags))
 def test_bad_flag_fails_before_any_work(tmp_path, capsys, flags):
     assert run_cli(["pipeline", *TINY, *flags], tmp_path) == cli.EXIT_CONFIG
@@ -108,6 +108,20 @@ def test_eval_with_corrupt_surrogate_file_prints_one_line(tmp_path, capsys):
     assert run_cli(["eval", "--seed", "5", *TINY], tmp_path) == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "fse.json" in err, err
+
+
+def test_eval_with_a_16_state_inverse_model_prints_one_line(tmp_path, capsys):
+    for stage in ("collect", "train-fse", "train-ide"):
+        assert run_cli([stage, "--seed", "5", *TINY], tmp_path) == 0
+    path = tmp_path / "ide.json"
+    doc = json.loads(path.read_text())
+    doc["provenance"]["quantizer"].update(state_count=16, step_degrees=22.5)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["eval", "--seed", "5", *TINY], tmp_path) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "ide.json" in err, err
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_train_ide_without_fse_is_dependency_error(tmp_path, capsys):

@@ -296,6 +296,15 @@ def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
+def _with_provenance(**changes):
+    return lambda d: {**d, "provenance": {**d["provenance"], **changes}}
+
+
+def _with_quantizer(**changes):
+    return lambda d: {**d, "provenance": {
+        **d["provenance"], "quantizer": {**d["provenance"]["quantizer"], **changes}}}
+
+
 MALFORMED_MODEL_FILES = {
     "no-layer-dims": ("fse", lambda d: _without(d, "layer_dims")),
     "top-level-list": ("fse", lambda d: [d]),
@@ -310,7 +319,34 @@ MALFORMED_MODEL_FILES = {
     "no-column-count": ("fse", lambda d: {**d, "provenance": _without(d["provenance"], "column_count")}),
     "quantizer-list": ("ide", lambda d: {
         **d, "provenance": {**d["provenance"], "quantizer": [8, 45.0, 10.0]}}),
+    # the phase grid is the scene's: any other grid is refused, not replayed
+    "grid-16x22.5": ("ide", _with_quantizer(state_count=16, step_degrees=22.5)),
+    "grid-4x90": ("ide", _with_quantizer(state_count=4, step_degrees=90.0)),
+    "no-quantizer": ("ide", lambda d: {**d, "provenance": _without(d["provenance"], "quantizer")}),
+    # every provenance field is required, with its exact JSON type
+    "string-i-max": ("fse", _with_provenance(i_max="inf")),
+    "zero-i-max": ("fse", _with_provenance(i_max=0.0)),
+    "infinite-temperature": ("ide", _with_quantizer(temperature=float("inf"))),
+    "string-column-count": ("fse", _with_provenance(column_count="20")),
+    "bool-column-count": ("ide", _with_provenance(column_count=True)),
+    "huge-column-count": ("fse", _with_provenance(column_count=10 ** 9)),
+    "string-nan-target-low": ("ide", _with_provenance(target_low="nan")),
+    "inverted-target-bounds": ("ide", _with_provenance(target_low=0.6, target_high=0.0)),
+    "negative-seed": ("fse", _with_provenance(seed=-1)),
+    "fractional-seed": ("ide", _with_provenance(seed=2.5)),
+    "numeric-scene-digest": ("fse", _with_provenance(scene_digest=5)),
+    "no-dataset-digest": ("fse", lambda d: {
+        **d, "provenance": _without(d["provenance"], "dataset_digest")}),
+    "null-fse-digest": ("ide", _with_provenance(fse_digest=None)),
 }
+
+
+def test_save_ide_writes_the_scene_grid(tmp_path):
+    path = tmp_path / "ide.json"
+    save_ide(IdeModel(mlp=neural.init_mlp([2, 3, 2], seed=1), fse_digest="",
+                      quantizer=QuantizerConfig(temperature=0.3), column_count=2), path)
+    quantizer = json.loads(path.read_text())["provenance"]["quantizer"]
+    assert json.dumps(quantizer) == '{"state_count": 8, "step_degrees": 45.0, "temperature": 0.3}'
 
 
 @pytest.mark.parametrize("case", MALFORMED_MODEL_FILES)

@@ -58,7 +58,8 @@ def test_preset_hyperparameters():
     {"profile_count": 2}, {"target_count": 5}, {"epochs_fse": 0}, {"epochs_ide": 0},
     {"batch_fse": 0}, {"batch_ide": -1}, {"lr_fse": 0.0}, {"lr_ide": float("inf")},
     {"lr_fse": float("nan")}, {"temperature": 0.0}, {"temperature": -1.0},
-    {"noise_sigma": -0.01}, {"target_low": 0.6}, {"target_high": -0.1},
+    {"temperature": float("inf")}, {"noise_sigma": -0.01}, {"noise_sigma": 1e308},
+    {"target_low": 0.6}, {"target_high": -0.1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_settings_reject_unusable_values(override):
     for preset in (desk_settings, paper_settings):

@@ -257,6 +257,7 @@ MALFORMED_SCENES = {
     "planar-probes": {"probe_positions_m": [[0.0, 1.0], [0.3, 1.0]]},
     "two-d-feed": {"feed_position_m": [0.0, 0.5]},
     "nan-frequency": {"frequency_hz": float("nan")},
+    "huge-noise": {"noise_sigma": 1e308},
     "obstacle-in-plane": {"obstacle": {"positions_m": [[0.0, 0.5]], "coefficients": [[0.1, 0.0]]}},
 }
 
