@@ -281,12 +281,13 @@ def cmd_special_cases(cfg: RunConfig) -> dict:
 
 
 def cmd_adapt(cfg: RunConfig) -> dict:
-    report = evalkit.run_adaptation_study(cfg.scene, cfg.scene_b, cfg.settings, cfg.seed)
+    base = evalkit.run_pipeline(cfg.scene, cfg.settings, cfg.seed)
+    report = evalkit.run_adaptation_study(base, cfg.scene, cfg.scene_b, cfg.settings)
     prov = _provenance(cfg, cfg.scene_b)
     evalkit.export_scatter(report.stale_table, cfg.out_dir / ADAPT_STALE_FILE, prov)
     evalkit.export_scatter(report.retrained_table, cfg.out_dir / ADAPT_RETRAINED_FILE, prov)
     lines = [
-        "baseline_mse: " + ",".join(f"{v:.6g}" for v in report.baseline_mse),
+        "baseline_mse: " + ",".join(f"{v:.6g}" for v in base.eval_result.mse_measured),
         "stale_mse: " + ",".join(f"{v:.6g}" for v in report.stale_mse),
         "retrained_mse: " + ",".join(f"{v:.6g}" for v in report.retrained_mse),
         f"recollect_seconds: {report.collect_seconds:.2f}",

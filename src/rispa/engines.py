@@ -113,15 +113,11 @@ def train_fse(
     learning_rate: float,
     batch_size: int,
     seed: int = 0,
-    init: Optional[Mlp] = None,
 ) -> Tuple[FseModel, TrainReport]:
-    """Supervised regression from encoded profiles to normalized intensities.
-
-    ``init`` warm-starts from existing parameters instead of a fresh draw.
-    """
+    """Supervised regression from encoded profiles to normalized intensities."""
     cols = train_set.profiles.shape[1]
     probes = train_set.raw.shape[1]
-    mlp = init.copy() if init is not None else neural.init_mlp(fse_layer_dims(cols, probes), seed=seed)
+    mlp = neural.init_mlp(fse_layer_dims(cols, probes), seed=seed)
     report = neural.train(
         mlp,
         (profile_encoding(train_set.profiles), train_set.normalized),
@@ -195,7 +191,6 @@ def train_ide(
     batch_size: int,
     seed: int = 0,
     qcfg: Optional[QuantizerConfig] = None,
-    init: Optional[Mlp] = None,
 ) -> Tuple[IdeModel, TrainReport]:
     """Train the inverse network against the frozen surrogate.
 
@@ -204,9 +199,7 @@ def train_ide(
     """
     qcfg = qcfg or QuantizerConfig()
     probes = train_targets.targets.shape[1]
-    ide_mlp = init.copy() if init is not None else neural.init_mlp(
-        ide_layer_dims(fse.column_count, probes), seed=seed
-    )
+    ide_mlp = neural.init_mlp(ide_layer_dims(fse.column_count, probes), seed=seed)
 
     fse_digest_before = fse.digest()
     report = neural.train(
@@ -356,6 +349,15 @@ def _load_provenance(path, kind: str, what: str):
     return mlp, prov
 
 
+def _column_count(path, prov: dict, width: int, units_per_column: int) -> int:
+    """Provenance ``column_count``; it must account for the network layer of ``width`` units."""
+    cols = _provenance(path, prov, "column_count")
+    if units_per_column * cols != width:
+        raise ValueError(f"{path}: provenance column_count {cols} does not match "
+                         f"a network layer of {width} units")
+    return cols
+
+
 def save_fse(model: FseModel, path) -> None:
     neural.save_model(model.mlp, path, provenance={
         "kind": "fse",
@@ -372,7 +374,7 @@ def load_fse(path) -> FseModel:
     mlp, prov = _load_provenance(path, "fse", "a forward-surrogate")
     return FseModel(
         mlp=mlp,
-        column_count=_provenance(path, prov, "column_count"),
+        column_count=_column_count(path, prov, mlp.layer_dims[0], 2),
         i_max=float(_provenance(path, prov, "i_max")),
         scene_digest=_provenance(path, prov, "scene_digest"),
         dataset_digest=_provenance(path, prov, "dataset_digest"),
@@ -412,7 +414,7 @@ def load_ide(path) -> IdeModel:
         mlp=mlp,
         fse_digest=_provenance(path, prov, "fse_digest"),
         quantizer=QuantizerConfig(temperature=float(_provenance(path, q, "temperature"))),
-        column_count=_provenance(path, prov, "column_count"),
+        column_count=_column_count(path, prov, mlp.layer_dims[-1], 1),
         target_low=low,
         target_high=high,
         seed=_provenance(path, prov, "seed"),

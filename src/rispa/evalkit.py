@@ -5,7 +5,8 @@ the CLI, ``run_pipeline`` and the adaptation study all compose them into the
 three stories the artifact exists to tell: (1) train a surrogate and an inverse
 designer from "measured" data and score them closed-loop, (2) hit the named
 power-allocation patterns, (3) degrade the system with an obstacle and show
-that on-site re-collection plus retraining restores it.
+that on-site re-collection plus retraining restores it. The study takes the
+clean-scene ``run_pipeline`` result as its baseline rather than training one.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ class PipelineSettings:
     batch_ide: int = 256
     temperature: float = 10.0
     noise_sigma: Optional[float] = None   # None keeps the scene's own value
-    target_low: float = dataio.DEFAULT_TARGET_LOW
-    target_high: float = dataio.DEFAULT_TARGET_HIGH
     scatter_split: SplitSpec = SCATTER_SPLIT
     target_split: SplitSpec = TARGET_SPLIT
 
@@ -77,8 +76,6 @@ class PipelineSettings:
             raise ValueError("temperature must be positive and finite")
         if self.noise_sigma is not None and not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
             raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
-        if not self.target_low < self.target_high:
-            raise ValueError("target_low must be < target_high")
 
 
 def desk_settings() -> PipelineSettings:
@@ -141,7 +138,7 @@ def stage_collect(scene: Scene, settings: PipelineSettings, seed: int,
 
 
 def stage_train_fse(dataset: dataio.ScatterDataset, settings: PipelineSettings, seed: int,
-                    key: int = SEED_FSE, init=None):
+                    key: int = SEED_FSE):
     """Split the measurements, fit the surrogate; returns (fse, report, test MSE)."""
     d_train, d_val, d_test = dataio.split(
         dataset, settings.scatter_split, derive_seed(seed, SEED_SCATTER_SPLIT)
@@ -152,7 +149,6 @@ def stage_train_fse(dataset: dataio.ScatterDataset, settings: PipelineSettings, 
         learning_rate=settings.lr_fse,
         batch_size=settings.batch_fse,
         seed=derive_seed(seed, key),
-        init=init,
     )
     test_pred = engines.fse_predict(fse, d_test.profiles)
     test_mse = float(np.mean((test_pred - d_test.normalized) ** 2))
@@ -166,15 +162,12 @@ def target_splits(targets: dataio.TargetDataset, settings: PipelineSettings, see
 
 def stage_targets(settings: PipelineSettings, seed: int):
     """Generate the design targets and split them; returns (targets, (train, val, test))."""
-    targets = dataio.generate_targets(
-        settings.target_count, settings.target_low, settings.target_high,
-        seed=derive_seed(seed, SEED_TARGETS),
-    )
+    targets = dataio.generate_targets(settings.target_count, seed=derive_seed(seed, SEED_TARGETS))
     return targets, target_splits(targets, settings, seed)
 
 
 def stage_train_ide(fse: FseModel, splits, settings: PipelineSettings, seed: int,
-                    key: int = SEED_IDE, init=None):
+                    key: int = SEED_IDE):
     """Train through ``fse`` on the train/val parts of ``splits``; returns (ide, report)."""
     return engines.train_ide(
         fse, splits[0], splits[1],
@@ -183,7 +176,6 @@ def stage_train_ide(fse: FseModel, splits, settings: PipelineSettings, seed: int
         batch_size=settings.batch_ide,
         seed=derive_seed(seed, key),
         qcfg=QuantizerConfig(temperature=settings.temperature),
-        init=init,
     )
 
 
@@ -276,35 +268,35 @@ def run_special_cases(ide: IdeModel, fse: FseModel, scene: Scene):
 class AdaptationReport:
     stale_mse: np.ndarray         # per probe: old models scored on the new scene
     retrained_mse: np.ndarray     # per probe: fresh models on the new scene
-    baseline_mse: np.ndarray      # per probe: old models on their own scene
     collect_seconds: float
     train_seconds: float
     stale_table: np.ndarray
     retrained_table: np.ndarray
-    baseline: PipelineResult
-    retrained_fse: FseModel
-    retrained_ide: IdeModel
 
 
 def run_adaptation_study(
+    base: PipelineResult,
     scene_without: Scene,
     scene_with: Scene,
     settings: PipelineSettings,
-    seed: int,
-    warm_start: bool = False,
 ) -> AdaptationReport:
-    """Train on the clean scene, watch it fail on the changed one, retrain on site.
+    """Score ``base`` on the changed scene, then re-collect and retrain on site.
 
-    The two scenes must agree outside the obstacle block. The same target test
-    split is reused for all three evaluations so the MSEs are comparable.
-    Retraining draws fresh profiles and fresh seeds; ``warm_start`` initializes
-    the retrained networks from the stale parameters instead of from scratch.
+    ``base`` is the ``run_pipeline`` result on ``scene_without`` under
+    ``settings``; its surrogate must carry that scene's digest (after the
+    noise override), and the study draws every seed from ``base.seed``. The
+    two scenes must agree outside the obstacle block. The base's target test
+    split scores both the stale and the retrained models, so the MSEs are
+    comparable. Retraining draws fresh profiles and fresh seeds and starts
+    both networks from scratch.
     """
     if not scenes_differ_only_in_obstacle(scene_without, scene_with):
         raise ValueError("scenes must differ only in the obstacle block")
+    if base.fse.scene_digest != scene_digest(_apply_noise_override(scene_without, settings)):
+        raise ValueError("the base run was trained on a different scene")
     scene_with = _apply_noise_override(scene_with, settings)
+    seed = base.seed
 
-    base = run_pipeline(scene_without, settings, seed)
     t_test = base.target_splits[2]
     stale = stage_eval(base.ide, base.fse, scene_with, t_test, seed)
     logger.info(
@@ -317,10 +309,8 @@ def run_adaptation_study(
     collect_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    new_fse, _, _ = stage_train_fse(new_data, settings, seed, key=SEED_REFSE,
-                                    init=base.fse.mlp if warm_start else None)
-    new_ide, _ = stage_train_ide(new_fse, base.target_splits, settings, seed, key=SEED_REIDE,
-                                 init=base.ide.mlp if warm_start else None)
+    new_fse, _, _ = stage_train_fse(new_data, settings, seed, key=SEED_REFSE)
+    new_ide, _ = stage_train_ide(new_fse, base.target_splits, settings, seed, key=SEED_REIDE)
     train_seconds = time.perf_counter() - t0
 
     retrained = stage_eval(new_ide, new_fse, scene_with, t_test, seed, key=SEED_REEVAL_NOISE)
@@ -333,14 +323,10 @@ def run_adaptation_study(
     return AdaptationReport(
         stale_mse=stale.mse_measured,
         retrained_mse=retrained.mse_measured,
-        baseline_mse=base.eval_result.mse_measured,
         collect_seconds=collect_seconds,
         train_seconds=train_seconds,
         stale_table=stale.table,
         retrained_table=retrained.table,
-        baseline=base,
-        retrained_fse=new_fse,
-        retrained_ide=new_ide,
     )
 
 

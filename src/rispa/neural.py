@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -221,9 +220,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
 class TrainReport:
     train_losses: List[float]
     val_losses: List[float]
-    model: Mlp            # best-validation snapshot (final params if no val data)
+    model: Mlp            # best-validation snapshot
     best_epoch: int
-    elapsed_seconds: float
     seed: int
 
     @property
@@ -257,9 +255,9 @@ def train(
 ) -> TrainReport:
     """Minibatch Adam training with per-epoch validation and best-val snapshot.
 
-    ``train_pairs``/``val_pairs`` are (inputs, targets) arrays. The objective
-    is batch-mean MSE against the targets, by default of the network output.
-    The tandem stage trains through frozen downstream stages by supplying
+    ``train_pairs``/``val_pairs`` are non-empty (inputs, targets) arrays. The
+    objective is batch-mean MSE against the targets, by default of the network
+    output. The tandem stage trains through frozen downstream stages by supplying
     ``predict_fn(model, x=...)``, the derivative-free prediction validation
     scores, and ``loss_and_grads_fn(model, x=..., y=...)``, the training loss
     with its flat parameter gradient.
@@ -275,7 +273,8 @@ def train(
     n = x_train.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
-    have_val = x_val is not None and len(x_val) > 0
+    if len(x_val) == 0:
+        raise ValueError("validation set is empty")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
@@ -287,7 +286,6 @@ def train(
     best_val = np.inf
     best_params = model.params.copy()
     best_epoch = -1
-    t0 = time.perf_counter()
 
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -308,26 +306,22 @@ def train(
             model.params[...] = params
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
-        if have_val:
-            # x stays positional: perfbench's tracer counts rows from forward's second argument
-            pred = forward(model, x_val) if predict_fn is None else predict_fn(model, x=x_val)
-            v = mse(pred, y_val)
-            val_losses.append(v)
-            if v < best_val:
-                best_val = v
-                best_params = model.params.copy()
-                best_epoch = epoch
-        else:
-            val_losses.append(float("nan"))
+        # x stays positional: perfbench's tracer counts rows from forward's second argument
+        pred = forward(model, x_val) if predict_fn is None else predict_fn(model, x=x_val)
+        v = mse(pred, y_val)
+        val_losses.append(v)
+        if v < best_val:
+            best_val = v
+            best_params = model.params.copy()
+            best_epoch = epoch
 
-    if have_val and best_epoch >= 0:
+    if best_epoch >= 0:
         model.params[...] = best_params
     return TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,
         model=model,
         best_epoch=best_epoch,
-        elapsed_seconds=time.perf_counter() - t0,
         seed=seed,
     )
 

@@ -1,9 +1,11 @@
 """Acceptance gate: every shipping criterion at its stated tolerance.
 
 One test per criterion; each prints a PASS/FAIL line (visible with -s).
-Criteria 2-4 and 8 share one desk-scale pipeline run; criterion 5 trains its
-own two pipelines for the obstacle study. The module takes roughly fifteen
-minutes end to end on commodity hardware, dominated by network training.
+Criteria 2-5 and 8 share one desk-scale pipeline run: criterion 5 takes it as
+the baseline of the obstacle study and trains only the re-collected pair, and
+criterion 8 trains the desk pipeline once more to compare. The module takes
+about four and a half minutes on a 2-vCPU Xeon (266 s of test time),
+dominated by network training.
 
     pytest tests/test_acceptance.py -v -s
 """
@@ -203,12 +205,12 @@ def test_criterion_4_special_cases(desk_result):
 # 5. obstacle adaptation study
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_adaptation_study():
+def test_criterion_5_adaptation_study(desk_result):
     report = evalkit.run_adaptation_study(
+        desk_result,
         scene.default_scene(),
         scene.default_scene(with_obstacle=True),
         evalkit.desk_settings(),
-        ACCEPTANCE_SEED,
     )
     clock = report.collect_seconds + report.train_seconds
     ok = (

@@ -329,6 +329,9 @@ MALFORMED_MODEL_FILES = {
     "infinite-temperature": ("ide", _with_quantizer(temperature=float("inf"))),
     "string-column-count": ("fse", _with_provenance(column_count="20")),
     "bool-column-count": ("ide", _with_provenance(column_count=True)),
+    # the column count must match the network: 2 inputs per column, 1 output per column
+    "fse-column-count-off-input-width": ("fse", _with_provenance(column_count=19)),
+    "ide-column-count-off-output-width": ("ide", _with_provenance(column_count=7)),
     "huge-column-count": ("fse", _with_provenance(column_count=10 ** 9)),
     "string-nan-target-low": ("ide", _with_provenance(target_low="nan")),
     "inverted-target-bounds": ("ide", _with_provenance(target_low=0.6, target_high=0.0)),

@@ -50,8 +50,6 @@ def test_preset_hyperparameters():
     assert desk.noise_sigma == 0.0
     for preset in (paper, desk):
         assert preset.temperature == 10.0
-        assert preset.target_low == 0.0
-        assert preset.target_high == 0.6
 
 
 @pytest.mark.parametrize("override", [
@@ -59,7 +57,6 @@ def test_preset_hyperparameters():
     {"batch_fse": 0}, {"batch_ide": -1}, {"lr_fse": 0.0}, {"lr_ide": float("inf")},
     {"lr_fse": float("nan")}, {"temperature": 0.0}, {"temperature": -1.0},
     {"temperature": float("inf")}, {"noise_sigma": -0.01}, {"noise_sigma": 1e308},
-    {"target_low": 0.6}, {"target_high": -0.1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_settings_reject_unusable_values(override):
     for preset in (desk_settings, paper_settings):
@@ -162,7 +159,7 @@ def test_export_interrupted_mid_write_keeps_previous_file(tmp_path):
 def test_export_history_round_trip(tmp_path):
     report = TrainReport(
         train_losses=[0.5, 0.25, 0.125], val_losses=[0.6, 0.3, 0.2],
-        model=init_mlp([2, 2], seed=0), best_epoch=2, elapsed_seconds=0.0, seed=0,
+        model=init_mlp([2, 2], seed=0), best_epoch=2, seed=0,
     )
     path = tmp_path / "history.csv"
     export_history(report, path)
@@ -172,7 +169,7 @@ def test_export_history_round_trip(tmp_path):
     assert [float(v) for v in lines[1].split(",")] == [0, 0.5, 0.6]
 
     empty = TrainReport(train_losses=[], val_losses=[], model=init_mlp([2, 2], seed=0),
-                        best_epoch=-1, elapsed_seconds=0.0, seed=0)
+                        best_epoch=-1, seed=0)
     with pytest.raises(ValueError, match="empty"):
         export_history(empty, tmp_path / "empty.csv")
 
@@ -181,24 +178,41 @@ def test_export_history_round_trip(tmp_path):
 # adaptation study
 # ---------------------------------------------------------------------------
 
-def test_adaptation_rejects_unrelated_scenes():
+def test_adaptation_rejects_unrelated_scenes(tiny_run):
     a = default_scene()
     b = default_scene()
     b.noise_sigma = 0.2
     with pytest.raises(ValueError, match="obstacle"):
-        evalkit.run_adaptation_study(a, b, tiny_settings(), seed=0)
+        evalkit.run_adaptation_study(tiny_run, a, b, tiny_settings())
+
+
+@pytest.mark.parametrize("scenes, settings", [
+    ((default_scene(with_obstacle=True), default_scene()), tiny_settings()),
+    ((default_scene(), default_scene(with_obstacle=True)), tiny_settings(noise_sigma=0.01)),
+], ids=["scenes-swapped", "noise-override-differs"])
+def test_adaptation_refuses_a_base_from_another_scene(tiny_run, scenes, settings):
+    with pytest.raises(ValueError, match="different scene"):
+        evalkit.run_adaptation_study(tiny_run, *scenes, settings)
+
+
+ADAPT_SETTINGS = tiny_settings(
+    profile_count=800, target_count=2400, epochs_fse=400, epochs_ide=120,
+    batch_fse=128, batch_ide=256,
+)
+
+
+@pytest.fixture(scope="module")
+def seed5_base():
+    return run_pipeline(default_scene(), ADAPT_SETTINGS, seed=5)
 
 
 @pytest.mark.slow
-def test_adaptation_degenerate_control():
+def test_adaptation_degenerate_control(seed5_base):
     # identical scenes: "stale" and "retrained" are two independently seeded
     # pipelines on the same physics, so their MSEs must be comparable
-    settings = tiny_settings(
-        profile_count=800, target_count=2400, epochs_fse=400, epochs_ide=120,
-        batch_fse=128, batch_ide=256,
+    rep = evalkit.run_adaptation_study(
+        seed5_base, default_scene(), default_scene(), ADAPT_SETTINGS
     )
-    scene = default_scene()
-    rep = evalkit.run_adaptation_study(scene, default_scene(), settings, seed=5)
     stale, retrained = rep.stale_mse.mean(), rep.retrained_mse.mean()
     assert stale < 2.0 * retrained
     assert retrained < 2.0 * stale
@@ -209,12 +223,10 @@ def test_adaptation_degenerate_control():
 def test_adaptation_study_is_fully_seeded():
     settings = tiny_settings(profile_count=200, target_count=300,
                              epochs_fse=30, epochs_ide=10)
-    a = evalkit.run_adaptation_study(
-        default_scene(), default_scene(with_obstacle=True), settings, seed=9
-    )
-    b = evalkit.run_adaptation_study(
-        default_scene(), default_scene(with_obstacle=True), settings, seed=9
-    )
+    base = run_pipeline(default_scene(), settings, seed=9)
+    a, b = (evalkit.run_adaptation_study(
+        base, default_scene(), default_scene(with_obstacle=True), settings
+    ) for _ in range(2))
     assert np.array_equal(a.stale_mse, b.stale_mse)
     assert np.array_equal(a.retrained_mse, b.retrained_mse)
     assert np.array_equal(a.stale_table, b.stale_table)
@@ -222,13 +234,10 @@ def test_adaptation_study_is_fully_seeded():
 
 
 @pytest.mark.slow
-def test_adaptation_obstacle_degrades_then_recovers():
-    settings = tiny_settings(
-        profile_count=800, target_count=2400, epochs_fse=400, epochs_ide=120,
-        batch_fse=128, batch_ide=256,
-    )
+def test_adaptation_obstacle_degrades_then_recovers(seed5_base):
     rep = evalkit.run_adaptation_study(
-        default_scene(), default_scene(with_obstacle=True), settings, seed=5
+        seed5_base, default_scene(), default_scene(with_obstacle=True),
+        ADAPT_SETTINGS,
     )
     # the obstacle must hurt the stale design pipeline noticeably
     assert rep.stale_mse.mean() > rep.retrained_mse.mean()

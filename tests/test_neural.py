@@ -395,6 +395,13 @@ def test_train_rejects_empty_training_set():
                  (None, None), epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
 
 
+def test_train_rejects_empty_validation_set():
+    x, y = _toy_pairs(8, seed=16)
+    with pytest.raises(ValueError, match="validation set is empty"):
+        nn.train(nn.init_mlp([3, 2], seed=0), (x, y), (x[:0], y[:0]),
+                 epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
+
+
 def test_train_divergence_carries_partial_history():
     x, y = _toy_pairs(8, seed=16)
     mlp = nn.init_mlp([3, 4, 2], seed=17)
