@@ -12,19 +12,29 @@ each record is reproducible on its own. ``derive_seed`` takes the record
 indices as one array and hashes every seed in one vectorized pass, with the
 same values as one ``SeedSequence`` per record.
 
+The writer formats records a block of a hundred at a time: one
+``json.dumps`` per array and block, split at the row breaks, gives the bytes
+of one ``json.dumps`` per record. ``digest()`` hashes the same blocks, so it
+equals the SHA-256 of the saved file without building the file in memory.
+The dataset classes refuse at construction what the loaders refuse in a
+file (states outside 0..7, non-finite values), so a saved dataset loads.
+
 The loaders trust nothing in a file: every header value and every number is
 type-checked and must be finite, and any violation is a ``DatasetFormatError``
-naming the offending line.
+naming the offending line. Each line is parsed on its own, so a record split
+over two lines is refused. The checks run on whole columns at once; only
+when one fails does a per-record scan find the first offending line.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import sys
 from dataclasses import dataclass
+from itertools import chain
+
 import numpy as np
 
 from .atomic import atomic_write
@@ -78,16 +88,22 @@ class ScatterDataset:
     scene_digest: str
 
     def __post_init__(self):
-        self.profiles = np.asarray(self.profiles, dtype=int)
+        profiles = np.asarray(self.profiles)
         self.raw = np.asarray(self.raw, dtype=float)
-        if self.profiles.ndim != 2 or self.raw.ndim != 2:
+        if profiles.ndim != 2 or self.raw.ndim != 2:
             raise ValueError("profiles and raw must be 2-D")
-        if len(self.profiles) != len(self.raw):
+        if len(profiles) != len(self.raw):
             raise ValueError("profiles and raw must have equal length")
-        if len(self.profiles) == 0:
-            raise ValueError("dataset must hold at least one record")
-        if not self.i_max > 0.0:
-            raise ValueError("i_max must be positive")
+        # the loader's contract, so that nothing saved is refused on load
+        if profiles.size == 0 or self.raw.size == 0:
+            raise ValueError("dataset must hold at least one record, state and intensity")
+        if profiles.dtype.kind not in "iu" or profiles.min() < 0 or profiles.max() >= STATE_COUNT:
+            raise ValueError(f"state indices must be integers in 0..{STATE_COUNT - 1}")
+        self.profiles = profiles.astype(int, copy=False)
+        if not np.isfinite(self.raw).all():
+            raise ValueError("raw intensities must be finite")
+        if not 0.0 < self.i_max < np.inf:
+            raise ValueError("i_max must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -110,9 +126,8 @@ class ScatterDataset:
         return (self.normalized < threshold).mean(axis=0)
 
     def digest(self) -> str:
-        buf = io.StringIO()
-        _write_scatter(self, buf)
-        return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        """SHA-256 of the file ``save_scatter`` writes."""
+        return _sha256(_scatter_blocks(self))
 
 
 @dataclass
@@ -126,6 +141,8 @@ class TargetDataset:
         self.targets = np.asarray(self.targets, dtype=float)
         if self.targets.ndim != 2 or len(self.targets) == 0:
             raise ValueError("targets must be a non-empty 2-D array")
+        if not (np.isfinite(self.targets).all() and np.isfinite([self.low, self.high]).all()):
+            raise ValueError("targets and their range must be finite")
         if not self.low < self.high:
             raise ValueError("low must be < high")
         if self.targets.min() < self.low - 1e-12 or self.targets.max() > self.high + 1e-12:
@@ -140,9 +157,8 @@ class TargetDataset:
         )
 
     def digest(self) -> str:
-        buf = io.StringIO()
-        _write_targets(self, buf)
-        return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        """SHA-256 of the file ``save_targets`` writes."""
+        return _sha256(_target_blocks(self))
 
 
 @dataclass(frozen=True)
@@ -250,7 +266,35 @@ def generate_targets(
 # Persistence (JSON lines)
 # ---------------------------------------------------------------------------
 
-def _write_scatter(ds: ScatterDataset, f) -> None:
+_BLOCK_ROWS = 100  # records per block of text, written or hashed at once
+
+
+def _jsonl_blocks(header: dict, fields: dict):
+    """JSON-lines text in blocks of up to ``_BLOCK_ROWS`` records, header first.
+
+    Record i is ``json.dumps({key: array[i].tolist() for key, array in fields.items()})``.
+    Each block dumps its rows of every array in one ``json.dumps`` call and
+    splits that text at the row breaks, which gives the same bytes as one
+    call per record. Small blocks keep the transient text and per-line strings
+    small, so they reuse freed memory instead of growing the heap.
+    """
+    yield json.dumps(header) + "\n"
+    line = "{" + ", ".join(f"{json.dumps(key)}: [%s]" for key in fields) + "}\n"
+    arrays = list(fields.values())
+    for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+        rows = [json.dumps(a[start:start + _BLOCK_ROWS].tolist())[2:-2].split("], [")
+                for a in arrays]
+        yield "".join([line % texts for texts in zip(*rows)])
+
+
+def _sha256(blocks) -> str:
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(block.encode("utf-8"))
+    return h.hexdigest()
+
+
+def _scatter_blocks(ds: ScatterDataset):
     header = {
         "format": SCATTER_FORMAT,
         "version": FORMAT_VERSION,
@@ -260,14 +304,12 @@ def _write_scatter(ds: ScatterDataset, f) -> None:
         "seed": ds.seed,
         "scene_digest": ds.scene_digest,
     }
-    f.write(json.dumps(header) + "\n")
-    for profile, raw in zip(ds.profiles, ds.raw):
-        f.write(json.dumps({"profile": profile.tolist(), "raw": raw.tolist()}) + "\n")
+    return _jsonl_blocks(header, {"profile": ds.profiles, "raw": ds.raw})
 
 
 def save_scatter(ds: ScatterDataset, path) -> None:
     with atomic_write(path) as f:
-        _write_scatter(ds, f)
+        f.writelines(_scatter_blocks(ds))
 
 
 def _parse_json_line(path, line_no: int, text: str) -> dict:
@@ -306,24 +348,66 @@ def _header_number(path, header: dict, key: str) -> float:
     return float(_header_field(path, header, key, _finite_number, "a finite number"))
 
 
-def _number_rows(path, records, key: str, what: str) -> np.ndarray:
-    """(records, width) floats from each record's ``key``: equal-length lists of finite numbers."""
-    first = records[0].get(key)
-    width = len(first) if isinstance(first, list) else 0
-    rows = np.empty((len(records), width))
-    for i, rec in enumerate(records):
-        values = rec.get(key)
-        if (width == 0 or not isinstance(values, list) or len(values) != width
-                or not all(_finite_number(v) for v in values)):
+def _uniform_rows(rows, width: int, element_type: type, dtype):
+    """``rows`` as one (len, width) array if every row is a list of ``width`` values of
+    exactly ``element_type``; None otherwise, or when a Python int overflows ``dtype``."""
+    if not (width and all(isinstance(row, list) and len(row) == width for row in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {element_type}):
+        return None
+    try:
+        return np.array(rows, dtype=dtype)
+    except OverflowError:
+        return None
+
+
+def _number_rows(path, rows, what: str) -> np.ndarray:
+    """(records, width) floats from one field: equal-length lists of finite numbers.
+
+    Lists of floats are checked as one array. Anything else (ints, whose range
+    check must be exact, or a bad record) goes through the per-record scan,
+    which names the first offending line.
+    """
+    width = len(rows[0]) if isinstance(rows[0], list) else 0
+    values = _uniform_rows(rows, width, float, float)
+    if values is not None and np.isfinite(values).all():
+        return values
+    values = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if (width == 0 or not isinstance(row, list) or len(row) != width
+                or not all(_finite_number(v) for v in row)):
             raise DatasetFormatError(
                 path, i + 2, f"{what} must be a non-empty list of finite numbers, "
                 f"as long as the first record's",
             )
-        rows[i] = values
-    return rows
+        values[i] = row
+    return values
 
 
-def _read_records(path, f, expected_format: str):
+def _profile_rows(path, rows, cols: int) -> np.ndarray:
+    """(records, cols) state indices, checked as one array; a per-record scan names a bad line."""
+    profiles = _uniform_rows(rows, cols, int, int)
+    if profiles is not None and profiles.min() >= 0 and profiles.max() < STATE_COUNT:
+        return profiles
+    profiles = np.empty((len(rows), cols), dtype=int)
+    for i, profile in enumerate(rows):
+        if not isinstance(profile, list) or len(profile) != cols:
+            raise DatasetFormatError(
+                path, i + 2,
+                f"profile must hold {cols} states, got {len(profile) if isinstance(profile, list) else profile!r}",
+            )
+        if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in profile):
+            raise DatasetFormatError(path, i + 2,
+                                     f"state indices must be integers in 0..{STATE_COUNT - 1}")
+        profiles[i] = profile
+    return profiles
+
+
+def _read_records(path, f, expected_format: str, keys):
+    """The header and, per key, the list of every record's value (None where absent).
+
+    Each record's object is dropped once its values are taken, so a large
+    file never holds all of its record dicts at once.
+    """
     first = f.readline()
     if not first.strip():
         raise DatasetFormatError(path, 1, "missing header line")
@@ -333,7 +417,7 @@ def _read_records(path, f, expected_format: str):
     if header.get("version") != FORMAT_VERSION:
         raise DatasetFormatError(path, 1, f"unsupported version {header.get('version')!r}")
     count = _header_positive_int(path, header, "count")
-    records = []
+    columns = {key: [] for key in keys}
     for i in range(count):
         line_no = i + 2
         text = f.readline()
@@ -341,8 +425,10 @@ def _read_records(path, f, expected_format: str):
             raise DatasetFormatError(
                 path, line_no, f"file truncated: expected {count} records, found {i}"
             )
-        records.append(_parse_json_line(path, line_no, text))
-    return header, records
+        record = _parse_json_line(path, line_no, text)
+        for key, values in columns.items():
+            values.append(record.get(key))
+    return header, columns
 
 
 def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDataset:
@@ -353,7 +439,7 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
     a mismatch is fatal).
     """
     with open(path, "r", encoding="utf-8") as f:
-        header, records = _read_records(path, f, SCATTER_FORMAT)
+        header, columns = _read_records(path, f, SCATTER_FORMAT, ("profile", "raw"))
     cols = _header_positive_int(path, header, "column_count")
     if cols > MAX_COLUMN_COUNT:
         raise DatasetFormatError(path, 1, f"header column_count exceeds {MAX_COLUMN_COUNT}")
@@ -361,20 +447,8 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
                                 "a positive finite number"))
     seed = _header_seed(path, header)
     digest = _header_field(path, header, "scene_digest", lambda v: isinstance(v, str), "a string")
-    profiles = np.empty((len(records), cols), dtype=int)
-    for i, rec in enumerate(records):
-        line_no = i + 2
-        profile = rec.get("profile")
-        if not isinstance(profile, list) or len(profile) != cols:
-            raise DatasetFormatError(
-                path, line_no,
-                f"profile must hold {cols} states, got {len(profile) if isinstance(profile, list) else profile!r}",
-            )
-        if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in profile):
-            raise DatasetFormatError(path, line_no,
-                                     f"state indices must be integers in 0..{STATE_COUNT - 1}")
-        profiles[i] = profile
-    raw = _number_rows(path, records, "raw", "raw intensities")
+    profiles = _profile_rows(path, columns["profile"], cols)
+    raw = _number_rows(path, columns["raw"], "raw intensities")
     ds = ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
     if expected_scene_digest is not None and ds.scene_digest != expected_scene_digest:
         logger.warning(
@@ -384,7 +458,7 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
     return ds
 
 
-def _write_targets(ds: TargetDataset, f) -> None:
+def _target_blocks(ds: TargetDataset):
     header = {
         "format": TARGET_FORMAT,
         "version": FORMAT_VERSION,
@@ -393,21 +467,19 @@ def _write_targets(ds: TargetDataset, f) -> None:
         "high": ds.high,
         "seed": ds.seed,
     }
-    f.write(json.dumps(header) + "\n")
-    for t in ds.targets:
-        f.write(json.dumps({"target": t.tolist()}) + "\n")
+    return _jsonl_blocks(header, {"target": ds.targets})
 
 
 def save_targets(ds: TargetDataset, path) -> None:
     with atomic_write(path) as f:
-        _write_targets(ds, f)
+        f.writelines(_target_blocks(ds))
 
 
 def load_targets(path) -> TargetDataset:
     with open(path, "r", encoding="utf-8") as f:
-        header, records = _read_records(path, f, TARGET_FORMAT)
+        header, columns = _read_records(path, f, TARGET_FORMAT, ("target",))
     return TargetDataset(
-        targets=_number_rows(path, records, "target", "target"),
+        targets=_number_rows(path, columns["target"], "target"),
         low=_header_number(path, header, "low"),
         high=_header_number(path, header, "high"),
         seed=_header_seed(path, header),

@@ -15,6 +15,7 @@ import dataclasses
 import logging
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -339,12 +340,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header, rows, provenance: Optional[dict]) -> None:
+    # "%.17g" % x is the text of _fmt(x), nan, inf and -0 included
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with atomic_write(path) as f:
         if provenance:
             f.write("# " + " ".join(f"{k}={v}" for k, v in provenance.items()) + "\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.writelines(line % tuple(map(float, row)) for row in rows)
 
 
 def export_scatter(table: np.ndarray, path, provenance: Optional[dict] = None) -> None:
@@ -358,7 +360,9 @@ def export_scatter(table: np.ndarray, path, provenance: Optional[dict] = None) -
         raise ValueError("refusing to export an empty table")
     if table.ndim != 2 or table.shape[1] != len(SCATTER_CSV_COLUMNS):
         raise ValueError(f"table must have {len(SCATTER_CSV_COLUMNS)} columns")
-    _write_csv(path, SCATTER_CSV_COLUMNS, table, provenance)
+    # Python floats format fastest; converted a block at a time to bound the copy
+    rows = chain.from_iterable(table[i:i + 1000].tolist() for i in range(0, len(table), 1000))
+    _write_csv(path, SCATTER_CSV_COLUMNS, rows, provenance)
 
 
 def export_history(report: TrainReport, path, provenance: Optional[dict] = None) -> None:

@@ -368,7 +368,11 @@ def save_model(mlp: Mlp, path, provenance: Optional[dict] = None) -> None:
     """Write a model file: layout, row-major parameters, and a provenance block.
 
     JSON float serialization is shortest-round-trip, so save/load is lossless.
+    Non-finite parameters, which ``load_model`` refuses, raise ``ValueError``
+    before anything is written.
     """
+    if not np.all(np.isfinite(mlp.params)):
+        raise ValueError("refusing to save a model with non-finite parameters")
     doc = {"format_version": MODEL_FORMAT_VERSION, **mlp_to_dict(mlp)}
     doc["provenance"] = provenance or {}
     with atomic_write(path) as f:

@@ -258,10 +258,14 @@ def transfer_matrix(scene: Scene) -> np.ndarray:
 
 
 def column_weights(scene: Scene, states: np.ndarray) -> np.ndarray:
-    """Per-column complex excitation A(s) * exp(j phi(s)) for one or many profiles."""
-    states = np.asarray(states, dtype=int)
-    phases = np.radians(state_phases_deg(states))
-    return scene.amplitude_table[states] * np.exp(1j * phases)
+    """Per-column complex excitation A(s) * exp(j phi(s)) for one or many profiles.
+
+    The 8 phasors are computed once and looked up by state, with the same
+    values as evaluating the formula per column.
+    """
+    grid = np.arange(STATE_COUNT)
+    phasors = scene.amplitude_table * np.exp(1j * np.radians(state_phases_deg(grid)))
+    return phasors[np.asarray(states, dtype=int)]
 
 
 def measure(scene: Scene, profiles, noise_seeds=None) -> np.ndarray:
@@ -271,25 +275,29 @@ def measure(scene: Scene, profiles, noise_seeds=None) -> np.ndarray:
     standard normal from the stream of ``default_rng(noise_seeds[i])``, then
     clamped at zero. The generators come from ``seeding.default_rngs``, which
     hashes the PCG64 states of all rows in one pass instead of making one
-    ``SeedSequence`` per row. The column weights are computed for the whole
-    batch, but the product with the transfer matrix stays one row at a time
-    because one (n, N) @ (N, P) product rounds differently in the last bits.
+    ``SeedSequence`` per row; each fills its row of one noise array, and the
+    noise is applied to all rows at once.
+
+    The product is one stacked matrix-vector product, (P, N) @ (n, N, 1): numpy
+    runs the same kernel per row as ``t @ w`` does, so every row is bit-equal
+    to the one-row product. A single (n, N) @ (N, P) matrix product would
+    round differently in the last bits.
     """
     t = transfer_matrix(scene)
     weights = column_weights(scene, profiles)
-    rngs = None
-    if noise_seeds is not None:
-        if len(noise_seeds) != len(weights):
-            raise ValueError("measure needs one noise seed per profile")
-        rngs = default_rngs(noise_seeds)
-    out = np.empty((len(weights), scene.probe_count))
-    for i, w in enumerate(weights):
-        intensities = np.abs(t @ w) ** 2
-        if rngs is not None:
-            noise = next(rngs).standard_normal(scene.probe_count)
-            intensities = np.maximum(intensities * (1.0 + scene.noise_sigma * noise), 0.0)
-        out[i] = intensities
-    return out
+    if noise_seeds is not None and len(noise_seeds) != len(weights):
+        raise ValueError("measure needs one noise seed per profile")
+    out = np.abs(np.matmul(t, weights[..., None])[..., 0]) ** 2
+    if noise_seeds is None:
+        return out
+    noise = np.empty_like(out)
+    for row, rng in zip(noise, default_rngs(noise_seeds)):
+        rng.standard_normal(out=row)
+    # out * (1 + noise_sigma * noise), clamped at zero, without temporaries
+    noise *= scene.noise_sigma
+    noise += 1.0
+    out *= noise
+    return np.maximum(out, 0.0, out=out)
 
 
 def simulate_raw(scene: Scene, profile, noise_seed: Optional[int] = None) -> np.ndarray:

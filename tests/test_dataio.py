@@ -1,7 +1,9 @@
 """Dataset collection, splitting, generation, and JSONL persistence."""
 
 import contextlib
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -200,6 +202,54 @@ def test_scatter_round_trip(tmp_path, small_dataset):
     assert loaded.digest() == small_dataset.digest()
 
 
+def _edge_scatter(n):
+    """Every state and floats whose text is easy to get wrong: subnormal, huge, -0.0, 1/3."""
+    edge = [5e-324, 1e300, -0.0, 0.0, 1.0 / 3.0, 1e16, 123.0, 2.5e-7]
+    return ScatterDataset(
+        profiles=np.arange(n * 20).reshape(n, 20) % 8,
+        raw=np.resize(edge, (n, 3)),
+        i_max=1e300,
+        seed=2**63,
+        scene_digest="edge",
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: collect(default_scene(with_obstacle=True), count=2500, seed=4),
+    lambda: _edge_scatter(2001),
+    lambda: _edge_scatter(1),
+], ids=["collected-2500", "edge-2001", "edge-1"])
+def test_save_scatter_bytes_match_per_record_dumps(tmp_path, make):
+    ds = make()
+    path = tmp_path / "data.jsonl"
+    save_scatter(ds, path)
+    header = {"format": "rispa-scatter-dataset", "version": 1, "count": len(ds),
+              "column_count": 20, "i_max": ds.i_max, "seed": ds.seed,
+              "scene_digest": ds.scene_digest}
+    expected = json.dumps(header) + "\n" + "".join(
+        json.dumps({"profile": p.tolist(), "raw": r.tolist()}) + "\n"
+        for p, r in zip(ds.profiles, ds.raw))
+    saved = path.read_bytes()
+    assert saved == expected.encode("utf-8")
+    assert ds.digest() == hashlib.sha256(saved).hexdigest()
+    loaded = load_scatter(path)
+    assert loaded.raw.tobytes() == ds.raw.tobytes()
+    assert np.array_equal(loaded.profiles, ds.profiles)
+
+
+def test_save_targets_bytes_match_per_record_dumps(tmp_path):
+    ds = generate_targets(2500, seed=8)
+    path = tmp_path / "targets.jsonl"
+    save_targets(ds, path)
+    header = {"format": "rispa-target-dataset", "version": 1, "count": 2500,
+              "low": ds.low, "high": ds.high, "seed": 8}
+    expected = json.dumps(header) + "\n" + "".join(
+        json.dumps({"target": t.tolist()}) + "\n" for t in ds.targets)
+    saved = path.read_bytes()
+    assert saved == expected.encode("utf-8")
+    assert ds.digest() == hashlib.sha256(saved).hexdigest()
+
+
 def test_targets_round_trip(tmp_path):
     ds = generate_targets(25, seed=8)
     path = tmp_path / "targets.jsonl"
@@ -265,6 +315,50 @@ def test_dataset_validation():
         TargetDataset(targets=np.array([[0.1, 0.2, 0.9]]), low=0.0, high=0.6)
 
 
+def _bad_state(value):
+    def edit(kw):
+        kw["profiles"] = kw["profiles"].astype(type(value))
+        kw["profiles"][1, 4] = value
+    return edit
+
+
+def _bad_raw(value):
+    return lambda kw: kw["raw"].__setitem__((2, 1), value)
+
+
+# each would construct and save, and then be refused by the loader
+UNLOADABLE_SCATTER = {
+    "nan-raw": _bad_raw(np.nan),
+    "inf-raw": _bad_raw(np.inf),
+    "state-9": _bad_state(9),
+    "state-minus-1": _bad_state(-1),
+    "float-states": _bad_state(2.0),
+    "inf-i_max": lambda kw: kw.__setitem__("i_max", np.inf),
+    "no-states": lambda kw: kw.__setitem__("profiles", kw["profiles"][:, :0]),
+    "no-intensities": lambda kw: kw.__setitem__("raw", kw["raw"][:, :0]),
+}
+
+
+@pytest.mark.parametrize("case", UNLOADABLE_SCATTER)
+def test_scatter_dataset_enforces_the_loader_contract(case):
+    fake = _fake_scatter(5)
+    kw = dict(profiles=fake.profiles.copy(), raw=fake.raw.copy(), i_max=fake.i_max,
+              seed=fake.seed, scene_digest=fake.scene_digest)
+    UNLOADABLE_SCATTER[case](kw)
+    with pytest.raises(ValueError):
+        ScatterDataset(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"targets": [[0.1, np.nan, 0.3]]},
+    {"targets": [[0.1, 0.2, 0.3]], "high": np.inf},
+    {"targets": [[0.1, 0.2, 0.3]], "low": -np.inf},
+], ids=["nan-target", "inf-high", "minus-inf-low"])
+def test_target_dataset_enforces_the_loader_contract(kw):
+    with pytest.raises(ValueError):
+        TargetDataset(**kw)
+
+
 # ---------------------------------------------------------------------------
 # hostile files
 # ---------------------------------------------------------------------------
@@ -301,6 +395,12 @@ MALFORMED_SCATTER = {
     "scalar-raw": (1, _set("raw", 5)),
     "empty-raw": (1, _set("raw", [])),
     "bool-state": (2, lambda doc: doc["profile"].__setitem__(0, True)),
+    "float-state": (2, lambda doc: doc["profile"].__setitem__(3, 2.0)),
+    "state-8": (4, lambda doc: doc["profile"].__setitem__(19, 8)),
+    "negative-state": (4, lambda doc: doc["profile"].__setitem__(0, -1)),
+    "huge-state": (2, lambda doc: doc["profile"].__setitem__(0, 10**30)),
+    # rounds to the largest float, but is larger than it
+    "just-over-max-int-raw": (3, _set("raw", [0.1, int(sys.float_info.max) + 1, 0.3])),
 }
 
 
@@ -317,6 +417,24 @@ def test_malformed_scatter_files_name_the_line(tmp_path, small_dataset, case):
     with pytest.raises(DatasetFormatError) as exc:
         load_scatter(path)
     assert exc.value.line == line_index + 1
+
+
+def test_loader_names_the_first_offending_record(tmp_path, small_dataset):
+    path = tmp_path / "data.jsonl"
+    save_scatter(small_dataset, path)
+    _edited(path, 9, _set("raw", [0.1, float("nan"), 0.3]))
+    _edited(path, 6, _set("raw", [0.1, 0.2]))
+    with pytest.raises(DatasetFormatError) as exc:
+        load_scatter(path)
+    assert exc.value.line == 7
+
+
+def test_integer_raw_values_in_range_load(tmp_path, small_dataset):
+    path = tmp_path / "data.jsonl"
+    save_scatter(small_dataset, path)
+    _edited(path, 3, _set("raw", [1, 0.5, 2]))
+    loaded = load_scatter(path)
+    assert loaded.raw[2].tolist() == [1.0, 0.5, 2.0]
 
 
 MALFORMED_TARGETS = {

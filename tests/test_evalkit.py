@@ -128,6 +128,19 @@ def test_export_scatter_line_count_and_round_trip(tmp_path):
     assert np.array_equal(parsed, table)
 
 
+def test_export_scatter_bytes_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(2)
+    table = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-300, 300, size=(40, 9))
+    table[3] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0 / 3.0, 1e16, -1.0]
+    table[7, ::2] = np.nan
+    path = tmp_path / "eval.csv"
+    export_scatter(table, path, provenance={"seed": 1})
+    expected = "# seed=1\n" + ",".join(evalkit.SCATTER_CSV_COLUMNS) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist())
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert "nan,inf,-inf,-0,0," in path.read_text()
+
+
 def test_export_scatter_provenance_line(tmp_path):
     table = np.zeros((2, 9))
     path = tmp_path / "eval.csv"

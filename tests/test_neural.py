@@ -437,6 +437,16 @@ def test_model_file_round_trip_is_lossless(tmp_path):
     assert nn.param_digest(loaded) == nn.param_digest(mlp)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_model_refuses_non_finite_parameters_and_writes_nothing(tmp_path, bad):
+    mlp = nn.init_mlp([4, 7, 3], seed=21)
+    mlp.params[5] = bad
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        nn.save_model(mlp, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

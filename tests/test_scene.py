@@ -158,6 +158,33 @@ def test_obstacle_changes_most_profiles_by_over_5_percent():
     assert changed >= 50
 
 
+def _per_row_measure(scene: sc.Scene, profiles, noise_seeds=None) -> np.ndarray:
+    """One ``t @ w`` per row, with weights from the phasor formula and one generator per row."""
+    t = sc.transfer_matrix(scene)
+    rows = []
+    for i, states in enumerate(profiles):
+        w = scene.amplitude_table[states] * np.exp(1j * np.radians(45.0 * states))
+        intensities = np.abs(t @ w) ** 2
+        if noise_seeds is not None:
+            noise = np.random.default_rng(int(noise_seeds[i])).standard_normal(scene.probe_count)
+            intensities = np.maximum(intensities * (1.0 + scene.noise_sigma * noise), 0.0)
+        rows.append(intensities)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("with_obstacle", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 2000])
+def test_measure_is_bit_identical_to_per_row_products(with_obstacle, n):
+    scene = sc.default_scene(with_obstacle=with_obstacle)
+    profiles = np.random.default_rng(n).integers(0, sc.STATE_COUNT, size=(n, scene.column_count))
+    seeds = np.random.SeedSequence(n).generate_state(n, np.uint64)
+    clean = sc.measure(scene, profiles)
+    noisy = sc.measure(scene, profiles, seeds)
+    assert clean.tobytes() == _per_row_measure(scene, profiles).tobytes()
+    assert noisy.tobytes() == _per_row_measure(scene, profiles, seeds).tobytes()
+    assert not np.array_equal(clean, noisy)
+
+
 def test_coincident_points_error():
     scene = sc.default_scene()
     scene.probe_positions = sc.column_positions(scene)[:1]  # probe on a column
