@@ -7,6 +7,12 @@ embeds the seed and scene digest that produced it; there is no hidden state
 between commands, and reruns with the same flags are byte-identical. The
 stages themselves live in ``evalkit``; ``pipeline`` runs them in one process
 and writes the same artifacts as the stage-by-stage chain.
+
+Each command's results are one outcome dict: stdout prints it as ``key: value``
+lines, followed by one ``artifacts -> <out>`` line, and manifest.json records
+it under the command's name. ``pipeline``'s outcome is the seed, the scene
+digest, the five stages' outcomes in chain order and the stage timings; its
+summary.txt is the printed text without the artifacts line.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class MissingDependency(CliError):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved invocation: scene(s), output directory, seed, and settings."""
+    """Resolved invocation: scene(s) under the noise override, output directory, seed, settings."""
 
     scene: Scene
     scene_b: Scene | None
@@ -122,11 +128,6 @@ def _scene_flag(flag: str, path, with_obstacle: bool = False) -> Scene:
 
 
 def resolve_config(args) -> RunConfig:
-    scene = _scene_flag("--scene", args.scene)
-    scene_b = None
-    if args.command == "adapt":
-        scene_b = _scene_flag("--scene-b", args.scene_b, with_obstacle=True)
-
     overrides = {
         name: getattr(args, flag)
         for flag, names in SETTING_FLAGS.items() for name in names
@@ -137,28 +138,26 @@ def resolve_config(args) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise CliError(f"config error: {e}", EXIT_CONFIG) from e
 
+    # every stage reads the scene under the noise override, so it is applied here once
+    scene = evalkit._apply_noise_override(_scene_flag("--scene", args.scene), settings)
+    scene_b = None
+    if args.command == "adapt":
+        scene_b = evalkit._apply_noise_override(
+            _scene_flag("--scene-b", args.scene_b, with_obstacle=True), settings)
+
     out = Path(args.out or os.environ.get("RISPA_OUT") or "rispa_out")
-    return RunConfig(
-        scene=scene,
-        scene_b=scene_b,
-        out_dir=out,
-        seed=args.seed,
-        preset=args.preset,
-        settings=settings,
-        force=args.force,
-    )
+    return RunConfig(scene=scene, scene_b=scene_b, out_dir=out, seed=args.seed,
+                     preset=args.preset, settings=settings, force=args.force)
 
 
 # ---------------------------------------------------------------------------
-# Stage helpers
+# Stages: each returns its outcome, a flat dict of Python scalars and lists.
+# A stage's save-and-report helper writes its artifacts and returns its part
+# of the outcome, for the stage command and ``pipeline`` alike.
 # ---------------------------------------------------------------------------
 
 def _provenance(cfg: RunConfig, scene: Scene) -> dict:
     return {"seed": cfg.seed, "scene_digest": scene_digest(scene)}
-
-
-def _effective_scene(cfg: RunConfig) -> Scene:
-    return evalkit._apply_noise_override(cfg.scene, cfg.settings)
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -174,62 +173,75 @@ def _refuse_unless_forced(cfg: RunConfig, msg: str) -> None:
 
 
 def _check_digest(cfg: RunConfig, stored: str, what: str) -> None:
-    current = scene_digest(_effective_scene(cfg))
+    current = scene_digest(cfg.scene)
     if stored and stored != current:
         _refuse_unless_forced(cfg, f"scene digest mismatch: {what} was built on "
                                    f"{stored[:12]}..., current scene is {current[:12]}...")
 
 
-def _save_dataset(cfg: RunConfig, scene: Scene, ds: dataio.ScatterDataset) -> None:
+def _format_value(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def outcome_text(outcome: dict) -> str:
+    """One ``key: value`` line per entry; floats print their shortest round-trip repr."""
+    return "".join(f"{key}: {_format_value(value)}\n" for key, value in outcome.items())
+
+
+def _collected(cfg: RunConfig, ds: dataio.ScatterDataset) -> dict:
     dataio.save_scatter(ds, cfg.out_dir / DATASET_FILE)
-    save_scene(scene, cfg.out_dir / "scene.json")
+    save_scene(cfg.scene, cfg.out_dir / "scene.json")
+    return {"records": len(ds), "i_max": float(ds.i_max),
+            "fraction_below_0.6": ds.fraction_below().tolist()}
 
 
-def _save_fse(cfg: RunConfig, scene: Scene, fse, report) -> None:
+def _fse_trained(cfg: RunConfig, fse, report, test_mse: float) -> dict:
     engines.save_fse(fse, cfg.out_dir / FSE_FILE)
-    evalkit.export_history(report, cfg.out_dir / FSE_HISTORY_FILE, _provenance(cfg, scene))
+    evalkit.export_history(report, cfg.out_dir / FSE_HISTORY_FILE, _provenance(cfg, cfg.scene))
+    return {"fse_val_mse": float(report.best_val_loss), "fse_test_mse": float(test_mse)}
 
 
-def _save_ide(cfg: RunConfig, scene: Scene, targets, ide, report) -> None:
+def _ide_trained(cfg: RunConfig, targets, ide, report) -> dict:
     dataio.save_targets(targets, cfg.out_dir / TARGETS_FILE)
     engines.save_ide(ide, cfg.out_dir / IDE_FILE)
-    evalkit.export_history(report, cfg.out_dir / IDE_HISTORY_FILE, _provenance(cfg, scene))
+    evalkit.export_history(report, cfg.out_dir / IDE_HISTORY_FILE, _provenance(cfg, cfg.scene))
+    return {"ide_val_mse": float(report.best_val_loss)}
+
+
+def _evaluated(cfg: RunConfig, result: engines.EvalResult, gap: float) -> dict:
+    evalkit.export_scatter(result.table, cfg.out_dir / EVAL_FILE, _provenance(cfg, cfg.scene))
+    return {
+        "eval_targets": len(result.table),
+        "mse_predicted": result.mse_predicted.tolist(),
+        "mse_measured": result.mse_measured.tolist(),
+        "soft_hard_gap_rms": float(gap),
+    }
+
+
+def _specials(cfg: RunConfig, table) -> dict:
+    evalkit.export_scatter(table, cfg.out_dir / SPECIAL_FILE, _provenance(cfg, cfg.scene))
+    return {f"special_{name}_measured": row[6:9].tolist()
+            for (name, _), row in zip(evalkit.SPECIAL_CASES, table)}
 
 
 def cmd_collect(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
-    ds = evalkit.stage_collect(scene, cfg.settings, cfg.seed)
-    _save_dataset(cfg, scene, ds)
-    fracs = ds.fraction_below()
-    print(f"collected {len(ds)} records -> {cfg.out_dir / DATASET_FILE}")
-    print(f"i_max: {ds.i_max:.6g}")
-    print("fraction_below_0.6: " + ",".join(f"{f:.4f}" for f in fracs))
-    return {"i_max": ds.i_max, "fraction_below": fracs.tolist()}
+    return _collected(cfg, evalkit.stage_collect(cfg.scene, cfg.settings, cfg.seed))
 
 
 def cmd_train_fse(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
     path = _require(cfg.out_dir / DATASET_FILE, "collect")
-    ds = dataio.load_scatter(path, expected_scene_digest=scene_digest(scene))
+    ds = dataio.load_scatter(path, expected_scene_digest=scene_digest(cfg.scene))
     _check_digest(cfg, ds.scene_digest, "dataset")
-    fse, report, test_mse = evalkit.stage_train_fse(ds, cfg.settings, cfg.seed)
-    _save_fse(cfg, scene, fse, report)
-    print(f"surrogate trained ({cfg.settings.epochs_fse} epochs) -> {cfg.out_dir / FSE_FILE}")
-    print(f"fse_val_mse: {report.best_val_loss:.6g}")
-    print(f"fse_test_mse: {test_mse:.6g}")
-    return {"fse_test_mse": test_mse}
+    return _fse_trained(cfg, *evalkit.stage_train_fse(ds, cfg.settings, cfg.seed))
 
 
 def cmd_train_ide(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
     fse = engines.load_fse(_require(cfg.out_dir / FSE_FILE, "train-fse"))
     _check_digest(cfg, fse.scene_digest, "surrogate")
     targets, splits = evalkit.stage_targets(cfg.settings, cfg.seed)
-    ide, report = evalkit.stage_train_ide(fse, splits, cfg.settings, cfg.seed)
-    _save_ide(cfg, scene, targets, ide, report)
-    print(f"inverse engine trained ({cfg.settings.epochs_ide} epochs) -> {cfg.out_dir / IDE_FILE}")
-    print(f"ide_val_mse: {report.best_val_loss:.6g}")
-    return {"ide_val_mse": report.best_val_loss}
+    return _ide_trained(cfg, targets, *evalkit.stage_train_ide(fse, splits, cfg.settings, cfg.seed))
 
 
 def _load_models(cfg: RunConfig):
@@ -242,7 +254,6 @@ def _load_models(cfg: RunConfig):
 
 
 def cmd_eval(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
     fse, ide = _load_models(cfg)
     targets_path = _require(cfg.out_dir / TARGETS_FILE, "train-ide")
     targets = dataio.load_targets(targets_path)
@@ -250,34 +261,13 @@ def cmd_eval(cfg: RunConfig) -> dict:
         _refuse_unless_forced(cfg, "targets file was generated under a different --seed; "
                                    "the held-out split would not match training")
     t_test = evalkit.target_splits(targets, cfg.settings, cfg.seed)[2]
-    result = evalkit.stage_eval(ide, fse, scene, t_test, cfg.seed)
-    gap = engines.soft_hard_gap_rms(ide, fse, t_test)
-    evalkit.export_scatter(result.table, cfg.out_dir / EVAL_FILE, _provenance(cfg, scene))
-    lines = [
-        f"eval_targets: {len(result.table)}",
-        "mse_predicted: " + ",".join(f"{v:.6g}" for v in result.mse_predicted),
-        "mse_measured: " + ",".join(f"{v:.6g}" for v in result.mse_measured),
-        f"soft_hard_gap_rms: {gap:.6g}",
-    ]
-    print("\n".join(lines))
-    print(f"eval table -> {cfg.out_dir / EVAL_FILE}")
-    return {
-        "mse_predicted": result.mse_predicted.tolist(),
-        "mse_measured": result.mse_measured.tolist(),
-        "soft_hard_gap_rms": gap,
-    }
+    result = evalkit.stage_eval(ide, fse, cfg.scene, t_test, cfg.seed)
+    return _evaluated(cfg, result, engines.soft_hard_gap_rms(ide, fse, t_test))
 
 
 def cmd_special_cases(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
     fse, ide = _load_models(cfg)
-    names, table = evalkit.run_special_cases(ide, fse, scene)
-    evalkit.export_scatter(table, cfg.out_dir / SPECIAL_FILE, _provenance(cfg, scene))
-    for name, row in zip(names, table):
-        print(f"case {name}: target=" + ",".join(f"{v:.3g}" for v in row[:3])
-              + " measured=" + ",".join(f"{v:.4g}" for v in row[6:9]))
-    print(f"special-case table -> {cfg.out_dir / SPECIAL_FILE}")
-    return {"cases": names}
+    return _specials(cfg, evalkit.run_special_cases(ide, fse, cfg.scene)[1])
 
 
 def cmd_adapt(cfg: RunConfig) -> dict:
@@ -286,47 +276,32 @@ def cmd_adapt(cfg: RunConfig) -> dict:
     prov = _provenance(cfg, cfg.scene_b)
     evalkit.export_scatter(report.stale_table, cfg.out_dir / ADAPT_STALE_FILE, prov)
     evalkit.export_scatter(report.retrained_table, cfg.out_dir / ADAPT_RETRAINED_FILE, prov)
-    lines = [
-        "baseline_mse: " + ",".join(f"{v:.6g}" for v in base.eval_result.mse_measured),
-        "stale_mse: " + ",".join(f"{v:.6g}" for v in report.stale_mse),
-        "retrained_mse: " + ",".join(f"{v:.6g}" for v in report.retrained_mse),
-        f"recollect_seconds: {report.collect_seconds:.2f}",
-        f"retrain_seconds: {report.train_seconds:.2f}",
-    ]
-    text = "\n".join(lines) + "\n"
-    with atomic_write(cfg.out_dir / ADAPT_SUMMARY_FILE) as f:
-        f.write(text)
-    print(text, end="")
-    print(f"adaptation tables -> {cfg.out_dir / ADAPT_STALE_FILE}, {cfg.out_dir / ADAPT_RETRAINED_FILE}")
-    return {
+    outcome = {
+        "baseline_mse": base.eval_result.mse_measured.tolist(),
         "stale_mse": report.stale_mse.tolist(),
         "retrained_mse": report.retrained_mse.tolist(),
         "recollect_seconds": report.collect_seconds,
         "retrain_seconds": report.train_seconds,
     }
+    with atomic_write(cfg.out_dir / ADAPT_SUMMARY_FILE) as f:
+        f.write(outcome_text(outcome))
+    return outcome
 
 
 def cmd_pipeline(cfg: RunConfig) -> dict:
-    scene = _effective_scene(cfg)
-    result = evalkit.run_pipeline(scene, cfg.settings, cfg.seed)
-    prov = _provenance(cfg, scene)
-    _save_dataset(cfg, scene, result.dataset)
-    _save_fse(cfg, scene, result.fse, result.fse_report)
-    _save_ide(cfg, scene, result.targets, result.ide, result.ide_report)
-    evalkit.export_scatter(result.eval_result.table, cfg.out_dir / EVAL_FILE, prov)
-    evalkit.export_scatter(result.special_table, cfg.out_dir / SPECIAL_FILE, prov)
-
-    summary = evalkit.summarize(result, scene)
-    text = summary.to_text()
-    with atomic_write(cfg.out_dir / SUMMARY_FILE) as f:
-        f.write(text)
-    print(text, end="")
-    print(f"artifacts -> {cfg.out_dir}")
-    return {
-        "fse_test_mse": result.fse_test_mse,
-        "mse_measured": result.eval_result.mse_measured.tolist(),
-        "timings": result.timings,
+    r = evalkit.run_pipeline(cfg.scene, cfg.settings, cfg.seed)
+    outcome = {
+        **_provenance(cfg, cfg.scene),
+        **_collected(cfg, r.dataset),
+        **_fse_trained(cfg, r.fse, r.fse_report, r.fse_test_mse),
+        **_ide_trained(cfg, r.targets, r.ide, r.ide_report),
+        **_evaluated(cfg, r.eval_result, r.soft_hard_gap),
+        **_specials(cfg, r.special_table),
+        **{f"{stage}_seconds": secs for stage, secs in r.timings.items()},
     }
+    with atomic_write(cfg.out_dir / SUMMARY_FILE) as f:
+        f.write(outcome_text(outcome))
+    return outcome
 
 
 COMMANDS = {
@@ -342,16 +317,14 @@ COMMANDS = {
 
 def _write_manifest(cfg: RunConfig, command: str, outcome: dict) -> None:
     manifest_path = cfg.out_dir / MANIFEST_FILE
-    manifest = {}
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            manifest = {}
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):  # none yet, or unreadable: start afresh
+        manifest = {}
     manifest[command] = {
         "seed": cfg.seed,
         "preset": cfg.preset,
-        "scene_digest": scene_digest(_effective_scene(cfg)),
+        "scene_digest": scene_digest(cfg.scene),
         "settings": dataclasses.asdict(cfg.settings),
         "outcome": outcome,
     }
@@ -381,6 +354,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outcome = COMMANDS[args.command](cfg)
+        print(outcome_text(outcome), end="")
+        print(f"artifacts -> {cfg.out_dir}")
         _write_manifest(cfg, args.command, outcome)
     except CliError as e:
         print(str(e), file=sys.stderr)

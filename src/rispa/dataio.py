@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .atomic import atomic_write
-from .scene import MAX_COLUMN_COUNT, STATE_COUNT, Scene, measure, scene_digest
+from .scene import MAX_COLUMN_COUNT, STATE_COUNT, Scene, check_states, measure, scene_digest
 from .seeding import seed_states
 
 logger = logging.getLogger(__name__)
@@ -97,9 +97,7 @@ class ScatterDataset:
         # the loader's contract, so that nothing saved is refused on load
         if profiles.size == 0 or self.raw.size == 0:
             raise ValueError("dataset must hold at least one record, state and intensity")
-        if profiles.dtype.kind not in "iu" or profiles.min() < 0 or profiles.max() >= STATE_COUNT:
-            raise ValueError(f"state indices must be integers in 0..{STATE_COUNT - 1}")
-        self.profiles = profiles.astype(int, copy=False)
+        self.profiles = check_states(profiles).astype(int, copy=False)
         if not np.isfinite(self.raw).all():
             raise ValueError("raw intensities must be finite")
         if not 0.0 < self.i_max < np.inf:

@@ -199,7 +199,6 @@ class PipelineResult:
     eval_result: EvalResult
     special_table: np.ndarray     # (3, 9)
     soft_hard_gap: float
-    fraction_below: np.ndarray
     timings: dict                 # stage -> seconds
     seed: int
 
@@ -238,7 +237,6 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
         eval_result=eval_result,
         special_table=special_table,
         soft_hard_gap=engines.soft_hard_gap_rms(ide, fse, splits[2]),
-        fraction_below=dataset.fraction_below(),
         timings=timings,
         seed=seed,
     )
@@ -335,12 +333,8 @@ def run_adaptation_study(
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, header, rows, provenance: Optional[dict]) -> None:
-    # "%.17g" % x is the text of _fmt(x), nan, inf and -0 included
+    # "%.17g" % x is the text of format(x, ".17g"), nan, inf and -0 included
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with atomic_write(path) as f:
         if provenance:
@@ -371,41 +365,3 @@ def export_history(report: TrainReport, path, provenance: Optional[dict] = None)
         raise ValueError("refusing to export an empty history")
     rows = zip(range(len(report.train_losses)), report.train_losses, report.val_losses)
     _write_csv(path, ("epoch", "train_mse", "val_mse"), rows, provenance)
-
-
-# ---------------------------------------------------------------------------
-# Run summary
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EvalSummary:
-    """The metrics of one pipeline run, as printed and written to the summary file."""
-
-    result: PipelineResult
-    scene_hash: str
-
-    def to_text(self) -> str:
-        def vec(v):
-            return ",".join(_fmt(x) for x in np.asarray(v).ravel())
-
-        r = self.result
-        lines = [
-            f"seed: {r.seed}",
-            f"scene_digest: {self.scene_hash}",
-            f"fse_val_mse: {_fmt(r.fse_report.best_val_loss)}",
-            f"fse_test_mse: {_fmt(r.fse_test_mse)}",
-            f"ide_val_mse: {_fmt(r.ide_report.best_val_loss)}",
-            f"mse_predicted: {vec(r.eval_result.mse_predicted)}",
-            f"mse_measured: {vec(r.eval_result.mse_measured)}",
-            f"soft_hard_gap_rms: {_fmt(r.soft_hard_gap)}",
-            f"fraction_below_0.6: {vec(r.fraction_below)}",
-        ]
-        for (name, _), row in zip(SPECIAL_CASES, r.special_table):
-            lines.append(f"special_{name}_measured: {vec(row[6:9])}")
-        for stage, secs in r.timings.items():
-            lines.append(f"{stage}_seconds: {secs:.2f}")
-        return "\n".join(lines) + "\n"
-
-
-def summarize(result: PipelineResult, scene: Scene) -> EvalSummary:
-    return EvalSummary(result=result, scene_hash=scene_digest(scene))

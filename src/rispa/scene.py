@@ -212,9 +212,15 @@ def validate_profile(scene: Scene, states) -> np.ndarray:
         raise ValueError(
             f"profile must hold {scene.column_count} states, got shape {states.shape}"
         )
-    states = states.astype(int)
-    if np.any(states < 0) or np.any(states >= STATE_COUNT):
-        raise ValueError(f"state indices must lie in 0..{STATE_COUNT - 1}")
+    return check_states(states)
+
+
+def check_states(states) -> np.ndarray:
+    """``states`` as an array, refused unless it holds integers in 0..STATE_COUNT-1."""
+    states = np.asarray(states)
+    if states.dtype.kind not in "iu" or (
+            states.size and (states.min() < 0 or states.max() >= STATE_COUNT)):
+        raise ValueError(f"state indices must be integers in 0..{STATE_COUNT - 1}")
     return states
 
 
@@ -261,11 +267,12 @@ def column_weights(scene: Scene, states: np.ndarray) -> np.ndarray:
     """Per-column complex excitation A(s) * exp(j phi(s)) for one or many profiles.
 
     The 8 phasors are computed once and looked up by state, with the same
-    values as evaluating the formula per column.
+    values as evaluating the formula per column. ``states`` must hold integers
+    in 0..STATE_COUNT-1; anything else raises ``ValueError``.
     """
     grid = np.arange(STATE_COUNT)
     phasors = scene.amplitude_table * np.exp(1j * np.radians(state_phases_deg(grid)))
-    return phasors[np.asarray(states, dtype=int)]
+    return phasors[check_states(states)]
 
 
 def measure(scene: Scene, profiles, noise_seeds=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI contract: stage chaining, dependency errors, digests, determinism."""
 
+import dataclasses
 import json
 import platform
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from rispa import cli
-from rispa.scene import default_scene, save_scene
+from rispa.scene import default_scene, save_scene, scene_digest
 
 TINY = ["--profiles", "80", "--targets", "120", "--epochs-fse", "6",
         "--epochs-ide", "3", "--batch", "32"]
@@ -48,14 +49,46 @@ def test_stagewise_chain_matches_contract(tmp_path):
     assert (tmp_path / "special_cases.csv").exists()
 
 
-def test_pipeline_matches_stagewise_chain(tmp_path):
+def _as_json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _same_outcome(lines, outcome):
+    """True if the ``key: value`` lines print the manifest ``outcome``, value for value."""
+    printed = {key: [_as_json_or_text(v) for v in text.split(",")]
+               for key, text in (line.split(": ", 1) for line in lines)}
+    return len(printed) == len(lines) and printed == {
+        k: v if isinstance(v, list) else [v] for k, v in outcome.items()}
+
+
+def test_pipeline_matches_stagewise_chain(tmp_path, capsys):
     piped, chained = tmp_path / "piped", tmp_path / "chained"
     assert run_cli(["pipeline", "--seed", "5", *TINY], piped) == 0
+    piped_lines = capsys.readouterr().out.splitlines()
+    chained_lines = []
     for stage in ("collect", "train-fse", "train-ide", "eval", "special-cases"):
         assert run_cli([stage, "--seed", "5", *TINY], chained) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"artifacts -> {chained}"
+        manifest = json.loads((chained / "manifest.json").read_text())
+        assert _same_outcome(lines[:-1], manifest[stage]["outcome"]), stage
+        chained_lines += lines[:-1]
     for name in ("dataset.jsonl", "targets.jsonl", "fse.json", "ide.json", "eval.csv",
-                 "special_cases.csv", "fse_history.csv", "ide_history.csv"):
+                 "special_cases.csv", "fse_history.csv", "ide_history.csv", "scene.json"):
         assert (piped / name).read_bytes() == (chained / name).read_bytes(), name
+
+    # pipeline prints the chain's lines between its provenance and its timings
+    assert piped_lines[-1] == f"artifacts -> {piped}"
+    assert [line.split(":")[0] for line in piped_lines[:2]] == ["seed", "scene_digest"]
+    timings = [line.split(":")[0] for line in piped_lines[-5:-1]]
+    assert timings == ["collect_seconds", "train_fse_seconds", "train_ide_seconds", "eval_seconds"]
+    assert piped_lines[2:-5] == chained_lines
+    assert (piped / "summary.txt").read_text() == "".join(f"{line}\n" for line in piped_lines[:-1])
+    manifest = json.loads((piped / "manifest.json").read_text())
+    assert _same_outcome(piped_lines[:-1], manifest["pipeline"]["outcome"])
     assert run_cli(["eval", "--seed", "5", *TINY], piped) == 0
 
 
@@ -191,6 +224,11 @@ def test_adapt_command_runs_tiny(tmp_path):
         assert (tmp_path / name).exists(), name
     text = (tmp_path / "adapt_summary.txt").read_text()
     assert "stale_mse:" in text and "retrained_mse:" in text
+    # the tables were measured on the obstacle scene under the desk preset's noise override
+    measured_on = dataclasses.replace(default_scene(with_obstacle=True), noise_sigma=0.0)
+    for name in ("adapt_stale.csv", "adapt_retrained.csv"):
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert first == f"# seed=5 scene_digest={scene_digest(measured_on)}", name
 
 
 def test_threads_flag_is_rejected(tmp_path):

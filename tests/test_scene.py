@@ -185,6 +185,17 @@ def test_measure_is_bit_identical_to_per_row_products(with_obstacle, n):
     assert not np.array_equal(clean, noisy)
 
 
+@pytest.mark.parametrize("bad", [-1, 8, 2.7])
+def test_measure_refuses_a_state_outside_the_grid(bad):
+    # one bad state in the last row: the whole array is checked, not the first row
+    scene = sc.default_scene()
+    profiles = np.zeros((3, scene.column_count), dtype=type(bad))
+    profiles[2, 5] = bad
+    for call in (lambda: sc.column_weights(scene, profiles), lambda: sc.measure(scene, profiles)):
+        with pytest.raises(ValueError, match="integers in 0..7"):
+            call()
+
+
 def test_coincident_points_error():
     scene = sc.default_scene()
     scene.probe_positions = sc.column_positions(scene)[:1]  # probe on a column
