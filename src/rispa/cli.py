@@ -321,6 +321,8 @@ def _write_manifest(cfg: RunConfig, command: str, outcome: dict) -> None:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):  # none yet, or unreadable: start afresh
         manifest = {}
+    if not isinstance(manifest, dict):  # parses, but is not a manifest: start afresh too
+        manifest = {}
     manifest[command] = {
         "seed": cfg.seed,
         "preset": cfg.preset,

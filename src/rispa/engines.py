@@ -72,15 +72,16 @@ class IdeModel:
     seed: int = 0
 
 
-def encode_phases(angles_deg) -> np.ndarray:
+def encode_phases(angles_deg, scratch: Optional[dict] = None) -> np.ndarray:
     """Interleave [cos phi_1, sin phi_1, ..., cos phi_N, sin phi_N].
 
     Splitting the cyclic phase into its cosine and sine removes the wrap
     discontinuity from the surrogate's input space. Works on single profiles
-    or (batch, N) arrays.
+    or (batch, N) arrays; a (batch, N) encoding can go into the buffers of
+    the surrogate's ``scratch``.
     """
     rad = np.radians(np.asarray(angles_deg, dtype=float))
-    out = np.empty(rad.shape[:-1] + (2 * rad.shape[-1],))
+    out = neural.scratch_buffer(scratch, "x", rad.shape[:-1] + (2 * rad.shape[-1],))
     out[..., 0::2] = np.cos(rad)
     out[..., 1::2] = np.sin(rad)
     return out
@@ -158,28 +159,31 @@ def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.n
     return neural.forward(fse_mlp, encode_phases(soft))
 
 
-def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, y):
+def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, y,
+                          ide_scratch: Optional[dict] = None, fse_scratch: Optional[dict] = None):
     """Batch-mean MSE through the frozen chain and its flat IDE parameter gradient.
 
     Each network runs forward once and its backward reads the recorded tape.
     Only the inverse network's parameter gradients are produced; the
-    surrogate contributes its input gradient and is never updated.
+    surrogate contributes its input gradient and is never updated. The two
+    scratches, one per network, are those of ``neural.forward``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     ide_tape, fse_tape = [], []
-    raw = neural.forward(ide_mlp, x, ide_tape)
+    raw = neural.forward(ide_mlp, x, ide_tape, ide_scratch)
     angles = ide_output_to_angles(raw)
-    soft, soft_grad = quantize_soft_with_grad(angles, qcfg)
-    encoded = encode_phases(soft)
-    pred = neural.forward(fse_mlp, encoded, fse_tape)
+    soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
+    encoded = encode_phases(soft, fse_scratch)
+    pred = neural.forward(fse_mlp, encoded, fse_tape, fse_scratch)
     loss = neural.mse(pred, y)
 
     g_pred = neural.mse_grad(pred, y)
-    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_tape, inputs_only=True).inputs
+    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_tape, inputs_only=True,
+                                scratch=fse_scratch).inputs
     g_soft = _encode_backward(encoded, g_encoded)
     g_raw = g_soft * soft_grad  # wrap to degrees has unit gradient
-    return loss, neural.backward(ide_mlp, x, g_raw, ide_tape).params
+    return loss, neural.backward(ide_mlp, x, g_raw, ide_tape, scratch=ide_scratch).params
 
 
 def train_ide(
@@ -211,7 +215,8 @@ def train_ide(
         learning_rate=learning_rate,
         seed=seed,
         predict_fn=partial(tandem_forward, fse_mlp=fse.mlp, qcfg=qcfg),
-        loss_and_grads_fn=partial(tandem_loss_and_grads, fse_mlp=fse.mlp, qcfg=qcfg),
+        loss_and_grads_fn=partial(tandem_loss_and_grads, fse_mlp=fse.mlp, qcfg=qcfg,
+                                  ide_scratch={}, fse_scratch={}),
     )
     if fse.digest() != fse_digest_before:
         raise RuntimeError("surrogate parameters changed during inverse training")

@@ -12,13 +12,20 @@ and pre-activation) that ``backward`` consumes instead of recomputing the
 pass, and ``backward(..., inputs_only=True)`` skips the parameter gradients
 of a frozen network. Everything is float64 and seeded; the training loop is
 single-threaded so fixed seeds give bit-identical histories.
+
+A training run owns one scratch per network, a plain dict of buffers sized at
+the first batch (a smaller batch uses their leading rows), and both passes
+write into it: a step allocates no batch-sized array after the first, and its
+results are views that the next pass with that scratch overwrites.
+``adam_step`` updates the parameters and its moments in place.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -81,25 +88,37 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
 
 
 # branch-free: a select mispredicts on mixed signs; same values, but -0.0 -> +0.0
-def elu(x):
+def elu(x, out=None, work=None):
+    """ELU of ``x``; ``out`` takes the result and ``work`` the positive part, when given."""
     x = np.asarray(x, dtype=float)
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.expm1(out, out=out)
-    out += np.maximum(x, 0.0)
+    out += np.maximum(x, 0.0, out=work)
     return out
 
 
-def elu_grad(x):
+def elu_grad(x, out=None):
     x = np.asarray(x, dtype=float)
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     return np.exp(out, out=out)
 
 
-def forward(mlp: Mlp, x, tape: Optional[list] = None) -> np.ndarray:
+def scratch_buffer(scratch: Optional[dict], key, shape) -> np.ndarray:
+    """A new array without a scratch, else the leading rows of ``scratch[key]``, remade when short."""
+    if scratch is None:
+        return np.empty(shape)
+    buf = scratch.get(key)
+    if buf is None or len(buf) < shape[0]:
+        buf = scratch[key] = np.empty(shape)
+    return buf[:shape[0]]
+
+
+def forward(mlp: Mlp, x, tape: Optional[list] = None, scratch: Optional[dict] = None) -> np.ndarray:
     """Forward pass; accepts a single input vector or a (batch, dim) array.
 
     When ``tape`` is a list, each layer's (input, pre-activation) pair is
-    appended to it, as 2-D arrays, for ``backward``.
+    appended to it, as 2-D arrays, for ``backward``. With a ``scratch`` the
+    output and the tape are views of its buffers.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -108,10 +127,13 @@ def forward(mlp: Mlp, x, tape: Optional[list] = None) -> np.ndarray:
         raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = h @ w.T + b
+        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w))))
+        z += b
         if tape is not None:
             tape.append((h, z))
-        h = elu(z) if i != last else z
+        # the positive part goes where backward later writes this layer's upstream
+        h = z if i == last else elu(z, out=scratch_buffer(scratch, ("h", i), z.shape),
+                                    work=scratch_buffer(scratch, ("up", i), z.shape))
     return h[0] if squeeze else h
 
 
@@ -139,7 +161,7 @@ class Gradients:
 
 
 def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
-             inputs_only: bool = False) -> Gradients:
+             inputs_only: bool = False, scratch: Optional[dict] = None) -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
@@ -148,26 +170,32 @@ def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
     over the batch. ``tape`` is the record of ``forward(mlp, x, tape)``;
     without it the pass is run here. ``inputs_only`` leaves the parameter
     gradient as None.
+
+    With a ``scratch`` the gradients are views of its buffers, and the
+    tape's pre-activations are overwritten by their ELU derivatives: a tape
+    is read once.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if tape is None:
         tape = []
-        forward(mlp, x, tape)
+        forward(mlp, x, tape, scratch)
     g = np.atleast_2d(np.asarray(grad_output, dtype=float))
     if g.shape != (tape[0][0].shape[0], mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    grad = None if inputs_only else np.empty_like(mlp.params)
+    grad = None if inputs_only else scratch_buffer(scratch, "grad", mlp.params.shape)
     gw, gb = _layer_views(grad, mlp.layer_dims) if grad is not None else (None, None)
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
             np.matmul(delta.T, tape[i][0], out=gw[i])
             delta.sum(axis=0, out=gb[i])
-        upstream = delta @ mlp.weights[i]
+        upstream = np.matmul(delta, mlp.weights[i],
+                             out=scratch_buffer(scratch, ("up", i - 1), (len(g), mlp.layer_dims[i])))
         if i > 0:
-            delta = upstream * elu_grad(tape[i - 1][1])
+            z = tape[i - 1][1]
+            delta = np.multiply(upstream, elu_grad(z, out=None if scratch is None else z), out=upstream)
     return Gradients(params=grad, inputs=upstream[0] if squeeze else upstream)
 
 
@@ -181,6 +209,7 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
+    work: Tuple[np.ndarray, np.ndarray] = field(repr=False)  # adam_step's two temporaries
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     epsilon: float = ADAM_EPSILON
@@ -194,22 +223,33 @@ def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
         second_moment=np.zeros_like(params),
         step_count=0,
         learning_rate=learning_rate,
+        work=(np.empty_like(params), np.empty_like(params)),
     )
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray,
               state: AdamState) -> Tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update of a flat vector; returns new params and state."""
+    """One bias-corrected Adam update of a flat vector, in place.
+
+    ``params`` and the moments in ``state`` are overwritten and the same two
+    objects are returned; a non-finite gradient raises before anything is.
+    """
     if not np.all(np.isfinite(grads)):
         raise TrainingDiverged("diverged: non-finite gradient")
     t = state.step_count + 1
     lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
-    m = b1 * state.first_moment + (1.0 - b1) * grads
-    v = b2 * state.second_moment + (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    new_state = replace(state, first_moment=m, second_moment=v, step_count=t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), new_state
+    m, v = state.first_moment, state.second_moment
+    step, denom = state.work
+    m *= b1  # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, in that order of operations
+    m += np.multiply(1.0 - b1, grads, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(1.0 - b2, grads, out=denom), grads, out=denom)
+    # params -= (lr m_hat) / (sqrt(v_hat) + eps)
+    np.multiply(np.divide(m, 1.0 - b1 ** t, out=step), lr, out=step)
+    np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=denom), out=denom), eps, out=denom)
+    params -= np.divide(step, denom, out=step)
+    state.step_count = t
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +272,11 @@ class TrainReport:
         return float("nan")
 
 
-def _supervised_loss_and_grads(mlp: Mlp, x, y):
+def _supervised_loss_and_grads(mlp: Mlp, x, y, scratch: Optional[dict] = None):
     tape = []
-    pred = forward(mlp, x, tape)
+    pred = forward(mlp, x, tape, scratch)
     loss = mse(pred, y)
-    return loss, backward(mlp, x, mse_grad(pred, y), tape).params
+    return loss, backward(mlp, x, mse_grad(pred, y), tape, scratch=scratch).params
 
 
 # overflow and invalid values are caught by the explicit isfinite checks
@@ -265,7 +305,7 @@ def train(
     Shuffling is seeded; batches run in a fixed order, so the loss histories
     are reproducible bit for bit.
     """
-    loss_and_grads_fn = loss_and_grads_fn or _supervised_loss_and_grads
+    loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
     x_val, y_val = val_pairs
     x_train = np.asarray(x_train, dtype=float)
@@ -298,12 +338,11 @@ def train(
                     f"diverged: non-finite loss at epoch {epoch}", train_losses, val_losses
                 )
             try:
-                params, state = adam_step(model.params, grads, state)
+                adam_step(model.params, grads, state)
             except TrainingDiverged as e:
                 raise TrainingDiverged(
                     f"{e} at epoch {epoch}", train_losses, val_losses
                 ) from e
-            model.params[...] = params
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         # x stays positional: perfbench's tracer counts rows from forward's second argument

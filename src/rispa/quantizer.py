@@ -33,11 +33,13 @@ smooth map keeps training and its gradients exactly consistent.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from .neural import scratch_buffer
 from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
 
 # cos and sin of the first half of the state phases; each state pairs with its antipode
@@ -74,34 +76,54 @@ def quantize_soft(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
     return out
 
 
-def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
-    """Soft-quantized angle and its derivative d(out_deg)/d(angle_deg), in the paired form above."""
+def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
+                            scratch: Optional[dict] = None):
+    """Soft-quantized angle and its derivative d(out_deg)/d(angle_deg), in the paired form above.
+
+    Every array is written in place; with a ``scratch``, a dict as
+    ``neural.forward`` takes, they are its buffers, the results included.
+    """
     angle = np.asarray(angle_deg, dtype=float)
-    theta = np.radians(np.atleast_1d(angle))
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    theta = np.atleast_1d(angle)
+    buffers = (scratch_buffer(scratch, ("soft", k), theta.shape) for k in itertools.count())
+    theta = np.radians(theta, out=next(buffers))
+    cos_t, sin_t, tmp = np.cos(theta, out=next(buffers)), np.sin(theta, out=theta), next(buffers)
     tau = np.radians(cfg.temperature)
-    a = [cos_t * (c / tau) + sin_t * (s / tau) for c, s in zip(_PAIR_COS, _PAIR_SIN)]
-    b = [sin_t * (c / tau) - cos_t * (s / tau) for c, s in zip(_PAIR_COS, _PAIR_SIN)]
-    neg_m = -functools.reduce(np.maximum, map(np.abs, a))
+    a, b = [], []
+    for c, s in zip(_PAIR_COS, _PAIR_SIN):
+        a.append(np.multiply(cos_t, c / tau, out=next(buffers)))
+        a[-1] += np.multiply(sin_t, s / tau, out=tmp)
+        b.append(np.multiply(sin_t, c / tau, out=next(buffers)))
+        b[-1] -= np.multiply(cos_t, s / tau, out=tmp)
+    neg_m = np.abs(a[0], out=next(buffers))
+    for x in a[1:]:
+        np.maximum(neg_m, np.abs(x, out=tmp), out=neg_m)
+    np.negative(neg_m, out=neg_m)
     sinh, cosh_b = [], []   # 2 e^{-m} sinh(a_s) and 2 e^{-m} cosh(a_s) b_s
     for x, y in zip(a, b):
-        up = np.exp(x + neg_m)
+        up = np.exp(np.add(x, neg_m, out=tmp), out=tmp)
         # x becomes e^{-a_s - m} in place: fewer live temporaries run measurably faster
         down = np.exp(np.subtract(neg_m, x, out=x), out=x)
-        sinh.append(up - down)
+        sinh.append(np.subtract(up, down, out=next(buffers)))
         cosh_b.append(np.multiply(np.add(down, up, out=down), y, out=down))
-    zr, zi = _pair_sum(sinh, _PAIR_COS), _pair_sum(sinh, _PAIR_SIN)
-    out = np.degrees(np.arctan2(zi, zr)) % 360.0
+    # what the cos/sin, m and b arrays held is spent: they take the sums and results
+    zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
+    out = np.remainder(np.degrees(np.arctan2(zi, zr, out=neg_m), out=neg_m), 360.0, out=neg_m)
     # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
-    grad = (zi * _pair_sum(cosh_b, _PAIR_COS) - zr * _pair_sum(cosh_b, _PAIR_SIN)) / (zr * zr + zi * zi)
+    grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, b[0], tmp), out=b[0])
+    grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, b[1], tmp), out=b[1])
+    grad /= np.add(np.multiply(zr, zr, out=b[1]), np.multiply(zi, zi, out=tmp), out=b[1])
     if angle.ndim == 0:
         return float(out[0]), float(grad[0])
     return out, grad
 
 
-def _pair_sum(terms, coefs):
-    """sum_s terms[s] * coefs[s], added left to right: a fixed order and no BLAS call."""
-    return functools.reduce(np.add, [t * k for t, k in zip(terms, coefs)])
+def _pair_sum(terms, coefs, out, tmp):
+    """sum_s terms[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call."""
+    np.multiply(terms[0], coefs[0], out=out)
+    for t, k in zip(terms[1:], coefs[1:]):
+        out += np.multiply(t, k, out=tmp)
+    return out
 
 
 def ide_output_to_angles(raw):

@@ -238,6 +238,13 @@ def test_threads_flag_is_rejected(tmp_path):
     assert not (tmp_path / "dataset.jsonl").exists()
 
 
+def test_manifest_that_is_not_an_object_is_started_afresh(tmp_path):
+    (tmp_path / "manifest.json").write_text("[1]\n")
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest) == ["collect"]
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "rispa.cli", "--help"],
@@ -274,6 +281,34 @@ def test_cli_allocator_setting_stops_per_step_page_faults():
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the setting is glibc's mallopt")
     proc = subprocess.run([sys.executable, "-c", _TANDEM_STEP_FAULTS],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
+
+
+# the same steps on one pair of scratches, in a process that keeps glibc's defaults
+_SCRATCH_STEP_FAULTS = """
+import resource
+import numpy as np
+from rispa import engines, neural
+from rispa.quantizer import QuantizerConfig
+ide = neural.init_mlp(engines.ide_layer_dims(), seed=0)
+fse = neural.init_mlp(engines.fse_layer_dims(), seed=1)
+y = np.random.default_rng(2).uniform(0.0, 1.0, size=(256, 3))
+state = neural.init_adam(ide.params, 1e-3)
+scratches = {"ide_scratch": {}, "fse_scratch": {}}
+for step in range(23):
+    if step == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grads = engines.tandem_loss_and_grads(ide, fse, QuantizerConfig(), x=y, y=y, **scratches)
+    neural.adam_step(ide.params, grads, state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_scratch_tandem_steps_take_no_page_faults_without_the_allocator_setting():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    proc = subprocess.run([sys.executable, "-c", _SCRATCH_STEP_FAULTS],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 100
 

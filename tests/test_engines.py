@@ -123,6 +123,38 @@ def test_tandem_step_is_bit_identical_to_reference(rows, tau):
     assert np.array_equal(grads, ref_grads)
 
 
+def test_tandem_steps_on_one_scratch_are_bit_identical_to_reference():
+    ide = neural.init_mlp(ide_layer_dims(20, 3), seed=31)
+    fse = neural.init_mlp(fse_layer_dims(20, 3), seed=32)
+    qcfg = QuantizerConfig(temperature=10.0)
+    rng = np.random.default_rng(33)
+    ide_scratch, fse_scratch = {}, {}
+    state = neural.init_adam(ide.params, learning_rate=1e-2)
+    ref_params, ref_state = ide.params.copy(), neural.init_adam(ide.params, learning_rate=1e-2)
+    buffers = None
+    for rows in (256, 256, 94, 256):
+        x = rng.uniform(0.0, 0.6, size=(rows, 3))
+        y = rng.uniform(0.0, 0.6, size=(rows, 3))
+        for buf in (*ide_scratch.values(), *fse_scratch.values()):
+            buf.fill(np.nan)  # a value left over from an earlier step would show
+        loss, grads = tandem_loss_and_grads(ide, fse, qcfg, x, y,
+                                            ide_scratch=ide_scratch, fse_scratch=fse_scratch)
+        ref_loss, ref_grads = _reference_tandem(ide, fse, qcfg, x, y)
+        assert loss == ref_loss
+        assert np.array_equal(grads, ref_grads)
+        assert np.shares_memory(grads, ide_scratch["grad"])
+        # the first batch sizes the buffers; the short batch uses their leading rows
+        buffers = buffers or (dict(ide_scratch), dict(fse_scratch))
+        for scratch, first in zip((ide_scratch, fse_scratch), buffers):
+            assert scratch.keys() == first.keys()
+            assert all(scratch[k] is v for k, v in first.items())
+        # Adam consumes the gradient in the scratch before the next step writes over it
+        params, state = neural.adam_step(ide.params, grads, state)
+        ref_params, ref_state = neural.adam_step(ref_params, ref_grads, ref_state)
+        assert params is ide.params
+        assert np.array_equal(ide.params, ref_params)
+
+
 # ---------------------------------------------------------------------------
 # surrogate training and prediction
 # ---------------------------------------------------------------------------

@@ -227,6 +227,51 @@ def test_backward_with_tape_is_bit_identical(shape):
     assert inputs_only.params is None
 
 
+def _plain_loss_and_grads(mlp, x, y):
+    """The supervised step as plain numpy expressions with fresh arrays: the bit reference."""
+    inputs, pre, h = [], [], x
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = h @ w.T + b
+        inputs.append(h)
+        pre.append(z)
+        h = nn.elu(z) if i < len(mlp.weights) - 1 else z
+    delta, parts = 2.0 * (h - y) / h.size, []
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        parts = [(delta.T @ inputs[i]).ravel(), delta.sum(axis=0)] + parts
+        if i > 0:
+            delta = (delta @ mlp.weights[i]) * nn.elu_grad(pre[i - 1])
+    return float(np.mean((h - y) ** 2)), np.concatenate(parts)
+
+
+def test_supervised_steps_on_one_scratch_are_bit_identical_to_reference():
+    mlp = nn.init_mlp([40, 100, 100, 3], seed=23)  # the desk FSE's layout
+    rng = np.random.default_rng(24)
+    scratch = {}
+    state = nn.init_adam(mlp.params, learning_rate=1e-2)
+    ref_params, ref_state = mlp.params.copy(), nn.init_adam(mlp.params, learning_rate=1e-2)
+    buffers = None
+    for rows in (256, 256, 94, 256):
+        x = rng.uniform(-1.0, 1.0, size=(rows, 40))
+        y = rng.uniform(0.0, 1.0, size=(rows, 3))
+        for buf in scratch.values():
+            buf.fill(np.nan)  # a value left over from an earlier step would show
+        loss, grads = nn._supervised_loss_and_grads(mlp, x, y, scratch=scratch)
+        ref_loss, ref_grads = _plain_loss_and_grads(mlp, x, y)
+        assert loss == ref_loss
+        assert np.array_equal(grads, ref_grads)
+        assert np.array_equal(nn._supervised_loss_and_grads(mlp, x, y)[1], ref_grads)
+        assert np.shares_memory(grads, scratch["grad"])
+        # the first batch sizes the buffers; the short batch uses their leading rows
+        buffers = buffers or dict(scratch)
+        assert scratch.keys() == buffers.keys()
+        assert all(scratch[k] is v for k, v in buffers.items())
+        # Adam consumes the gradient in the scratch before the next step writes over it
+        params, state = nn.adam_step(mlp.params, grads, state)
+        ref_params, ref_state = nn.adam_step(ref_params, ref_grads, ref_state)
+        assert params is mlp.params
+        assert np.array_equal(mlp.params, ref_params)
+
+
 def test_backward_batched_equals_sum_of_singles():
     mlp = nn.init_mlp([3, 4, 2], seed=5)
     rng = np.random.default_rng(6)
@@ -288,6 +333,21 @@ def test_adam_rejects_non_finite_gradient():
     state = nn.init_adam(params, learning_rate=0.1)
     with pytest.raises(nn.TrainingDiverged, match="diverged"):
         nn.adam_step(params, np.array([1.0, np.nan]), state)
+
+
+def test_adam_updates_in_place_and_writes_nothing_on_a_non_finite_gradient():
+    params = np.array([1.0, -2.0, 0.5])
+    state = nn.init_adam(params, learning_rate=0.1)
+    new, new_state = nn.adam_step(params, np.array([0.3, -0.1, 2.0]), state)
+    assert new is params and new_state is state
+    before = (params.copy(), state.first_moment.copy(), state.second_moment.copy())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(nn.TrainingDiverged):
+            nn.adam_step(params, np.array([1.0, bad, 0.0]), state)
+        assert np.array_equal(params, before[0])
+        assert np.array_equal(state.first_moment, before[1])
+        assert np.array_equal(state.second_moment, before[2])
+        assert state.step_count == 1
 
 
 def _per_array_adam(params, grads, first, second, t, lr):

@@ -108,6 +108,46 @@ def test_soft_with_grad_matches_reference():
             assert np.allclose(grad, ref_grad, rtol=1e-9, atol=1e-12)
 
 
+def _paired_expression_reference(angle_deg, cfg):
+    """The paired form of the module docstring as expressions on fresh arrays: the bit reference."""
+    theta = np.radians(np.atleast_1d(np.asarray(angle_deg, dtype=float)))
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    tau = np.radians(cfg.temperature)
+    phases = np.radians(state_phases_deg(np.arange(STATE_COUNT // 2)))
+    pairs = list(zip(np.cos(phases).tolist(), np.sin(phases).tolist()))
+    a = [cos_t * (c / tau) + sin_t * (s / tau) for c, s in pairs]
+    b = [sin_t * (c / tau) - cos_t * (s / tau) for c, s in pairs]
+    m = np.maximum(np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])), np.abs(a[2])), np.abs(a[3]))
+    up = [np.exp(x - m) for x in a]
+    down = [np.exp(-m - x) for x in a]
+    sinh = [u - d for u, d in zip(up, down)]
+    cosh_b = [(d + u) * y for u, d, y in zip(up, down, b)]
+
+    def pair_sum(terms, k):
+        return ((terms[0] * pairs[0][k] + terms[1] * pairs[1][k]) + terms[2] * pairs[2][k]) + terms[3] * pairs[3][k]
+
+    zr, zi = pair_sum(sinh, 0), pair_sum(sinh, 1)
+    out = np.degrees(np.arctan2(zi, zr)) % 360.0
+    return out, (zi * pair_sum(cosh_b, 0) - zr * pair_sum(cosh_b, 1)) / (zr * zr + zi * zi)
+
+
+def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
+    rng = np.random.default_rng(29)
+    scratch = {}
+    for tau in (30.0, 10.0, 0.3, 0.1):
+        cfg = QuantizerConfig(temperature=tau)
+        for rows in (256, 94, 256):
+            angles = rng.uniform(-720.0, 720.0, size=(rows, 20))
+            angles[0, :4] = (22.5, 45.0, 0.0, -0.0)
+            for buf in scratch.values():
+                buf.fill(np.nan)  # a value left over from an earlier call would show
+            want_out, want_grad = _paired_expression_reference(angles, cfg)
+            for got_out, got_grad in (quantize_soft_with_grad(angles, cfg),
+                                      quantize_soft_with_grad(angles, cfg, scratch)):
+                assert np.array_equal(got_out, want_out)
+                assert np.array_equal(got_grad, want_grad)
+
+
 def test_soft_small_tau_converges_to_hard_center():
     out = quantize_soft(10.0, QuantizerConfig(temperature=0.1))
     assert min(out, 360.0 - out) < 0.5
