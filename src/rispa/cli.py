@@ -18,7 +18,6 @@ summary.txt is the printed text without the artifacts line.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import logging
@@ -128,6 +127,9 @@ def _scene_flag(flag: str, path, with_obstacle: bool = False) -> Scene:
 
 
 def resolve_config(args) -> RunConfig:
+    if args.seed < 0:
+        raise CliError(f"config error: --seed: must be a non-negative integer, got {args.seed}",
+                       EXIT_CONFIG)
     overrides = {
         name: getattr(args, flag)
         for flag, names in SETTING_FLAGS.items() for name in names
@@ -232,7 +234,7 @@ def cmd_collect(cfg: RunConfig) -> dict:
 
 def cmd_train_fse(cfg: RunConfig) -> dict:
     path = _require(cfg.out_dir / DATASET_FILE, "collect")
-    ds = dataio.load_scatter(path, expected_scene_digest=scene_digest(cfg.scene))
+    ds = dataio.load_scatter(path)
     _check_digest(cfg, ds.scene_digest, "dataset")
     return _fse_trained(cfg, *evalkit.stage_train_fse(ds, cfg.settings, cfg.seed))
 
@@ -334,19 +336,7 @@ def _write_manifest(cfg: RunConfig, command: str, outcome: dict) -> None:
         f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _keep_freed_memory() -> None:
-    """Keep glibc from handing each training step's freed memory back to the kernel."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):  # not glibc: leave the allocator alone
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()  # not at import: a library must not retune its host's allocator
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

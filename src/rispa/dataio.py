@@ -429,13 +429,8 @@ def _read_records(path, f, expected_format: str, keys):
     return header, columns
 
 
-def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDataset:
-    """Load a measurement dataset; validates shapes and the header contract.
-
-    If ``expected_scene_digest`` is given and differs from the stored one, a
-    warning is logged (the data still loads; downstream stages decide whether
-    a mismatch is fatal).
-    """
+def load_scatter(path) -> ScatterDataset:
+    """Load a measurement dataset; validates shapes and the header contract."""
     with open(path, "r", encoding="utf-8") as f:
         header, columns = _read_records(path, f, SCATTER_FORMAT, ("profile", "raw"))
     cols = _header_positive_int(path, header, "column_count")
@@ -447,13 +442,7 @@ def load_scatter(path, expected_scene_digest: str | None = None) -> ScatterDatas
     digest = _header_field(path, header, "scene_digest", lambda v: isinstance(v, str), "a string")
     profiles = _profile_rows(path, columns["profile"], cols)
     raw = _number_rows(path, columns["raw"], "raw intensities")
-    ds = ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
-    if expected_scene_digest is not None and ds.scene_digest != expected_scene_digest:
-        logger.warning(
-            "scene digest mismatch: dataset %s was collected on %.12s..., expected %.12s...",
-            path, ds.scene_digest, expected_scene_digest,
-        )
-    return ds
+    return ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
 
 
 def _target_blocks(ds: TargetDataset):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import platform
 import subprocess
 import sys
 
@@ -94,7 +93,7 @@ def test_pipeline_matches_stagewise_chain(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--batch", "0"], ["--tau", "-1"], ["--tau", "inf"], ["--profiles", "2"], ["--epochs-fse", "0"],
-    ["--lr-ide", "0"], ["--noise", "-0.1"], ["--noise", "1e308"],
+    ["--lr-ide", "0"], ["--noise", "-0.1"], ["--noise", "1e308"], ["--seed", "-1"],
 ], ids=lambda flags: " ".join(flags))
 def test_bad_flag_fails_before_any_work(tmp_path, capsys, flags):
     assert run_cli(["pipeline", *TINY, *flags], tmp_path) == cli.EXIT_CONFIG
@@ -207,6 +206,20 @@ def test_scene_digest_mismatch_refused_without_force(tmp_path, capsys):
                    tmp_path) == 0
 
 
+def test_scene_digest_mismatch_is_reported_once(tmp_path):
+    # a subprocess sees the log lines of main's basicConfig handler, which pytest would not
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    train_fse = [sys.executable, "-m", "rispa.cli", "train-fse", "--seed", "5", "--noise", "0.05",
+                 *TINY, "--out", str(tmp_path)]
+    refused = subprocess.run(train_fse, capture_output=True, text=True)
+    assert refused.returncode == cli.EXIT_CONFIG
+    assert len(refused.stderr.splitlines()) == 1 and "digest mismatch" in refused.stderr
+    forced = subprocess.run([*train_fse, "--force"], capture_output=True, text=True)
+    assert forced.returncode == 0
+    warnings = [line for line in forced.stderr.splitlines() if line.startswith("WARNING")]
+    assert len(warnings) == 1 and "digest mismatch" in warnings[0], forced.stderr
+
+
 def test_explicit_scene_file_and_rispa_out_env(tmp_path, monkeypatch):
     scene_path = tmp_path / "scene.json"
     save_scene(default_scene(), scene_path)
@@ -253,71 +266,3 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for flag in ("--scene", "--seed", "--preset", "--tau", "--force"):
         assert flag in proc.stdout
-
-
-# 3 warm-up steps, then the minor page faults of 20 desk-shape tandem steps
-_TANDEM_STEP_FAULTS = """
-import resource
-import numpy as np
-from rispa import cli, engines, neural
-from rispa.quantizer import QuantizerConfig
-cli._keep_freed_memory()
-ide = neural.init_mlp(engines.ide_layer_dims(), seed=0)
-fse = neural.init_mlp(engines.fse_layer_dims(), seed=1)
-y = np.random.default_rng(2).uniform(0.0, 1.0, size=(256, 3))
-state = neural.init_adam(ide.params, 1e-3)
-for step in range(23):
-    if step == 3:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _, grads = engines.tandem_loss_and_grads(ide, fse, QuantizerConfig(), x=y, y=y)
-    ide.params[...], state = neural.adam_step(ide.params, grads, state)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_cli_allocator_setting_stops_per_step_page_faults():
-    # without it a fresh process takes about 500 minor faults per step, as
-    # glibc trims each step's freed temporaries and the next step faults them back
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the setting is glibc's mallopt")
-    proc = subprocess.run([sys.executable, "-c", _TANDEM_STEP_FAULTS],
-                          capture_output=True, text=True, check=True)
-    assert int(proc.stdout) < 100
-
-
-# the same steps on one pair of scratches, in a process that keeps glibc's defaults
-_SCRATCH_STEP_FAULTS = """
-import resource
-import numpy as np
-from rispa import engines, neural
-from rispa.quantizer import QuantizerConfig
-ide = neural.init_mlp(engines.ide_layer_dims(), seed=0)
-fse = neural.init_mlp(engines.fse_layer_dims(), seed=1)
-y = np.random.default_rng(2).uniform(0.0, 1.0, size=(256, 3))
-state = neural.init_adam(ide.params, 1e-3)
-scratches = {"ide_scratch": {}, "fse_scratch": {}}
-for step in range(23):
-    if step == 3:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    _, grads = engines.tandem_loss_and_grads(ide, fse, QuantizerConfig(), x=y, y=y, **scratches)
-    neural.adam_step(ide.params, grads, state)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_scratch_tandem_steps_take_no_page_faults_without_the_allocator_setting():
-    if platform.libc_ver()[0] != "glibc":
-        pytest.skip("the faults come from glibc returning freed memory to the kernel")
-    proc = subprocess.run([sys.executable, "-c", _SCRATCH_STEP_FAULTS],
-                          capture_output=True, text=True, check=True)
-    assert int(proc.stdout) < 100
-
-
-def _no_c_library(name):
-    raise OSError("no C library")
-
-
-@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library])
-def test_allocator_setting_is_a_quiet_no_op_without_mallopt(monkeypatch, cdll):
-    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    assert cli._keep_freed_memory() is None

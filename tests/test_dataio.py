@@ -299,14 +299,6 @@ def test_wrong_format_header(tmp_path):
         load_scatter(path)
 
 
-def test_scene_digest_mismatch_warns(tmp_path, small_dataset, caplog):
-    path = tmp_path / "data.jsonl"
-    save_scatter(small_dataset, path)
-    with caplog.at_level("WARNING"):
-        load_scatter(path, expected_scene_digest="deadbeef")
-    assert any("digest mismatch" in r.message for r in caplog.records)
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         ScatterDataset(profiles=np.zeros((0, 20), dtype=int), raw=np.zeros((0, 3)),

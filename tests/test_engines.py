@@ -1,6 +1,9 @@
 """Forward surrogate, tandem gradients, inference, and closed-loop scoring."""
 
 import json
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +156,35 @@ def test_tandem_steps_on_one_scratch_are_bit_identical_to_reference():
         ref_params, ref_state = neural.adam_step(ref_params, ref_grads, ref_state)
         assert params is ide.params
         assert np.array_equal(ide.params, ref_params)
+
+
+# 3 warm-up steps, then the minor page faults of 20 desk-shape tandem steps on one
+# pair of scratches, in a fresh process that keeps glibc's allocator defaults
+_TANDEM_STEP_FAULTS = """
+import resource
+import numpy as np
+from rispa import engines, neural
+from rispa.quantizer import QuantizerConfig
+ide = neural.init_mlp(engines.ide_layer_dims(), seed=0)
+fse = neural.init_mlp(engines.fse_layer_dims(), seed=1)
+y = np.random.default_rng(2).uniform(0.0, 1.0, size=(256, 3))
+state = neural.init_adam(ide.params, 1e-3)
+scratches = {"ide_scratch": {}, "fse_scratch": {}}
+for step in range(23):
+    if step == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grads = engines.tandem_loss_and_grads(ide, fse, QuantizerConfig(), x=y, y=y, **scratches)
+    neural.adam_step(ide.params, grads, state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_tandem_steps_take_no_page_faults():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    proc = subprocess.run([sys.executable, "-c", _TANDEM_STEP_FAULTS],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import json
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +273,36 @@ def test_supervised_steps_on_one_scratch_are_bit_identical_to_reference():
         ref_params, ref_state = nn.adam_step(ref_params, ref_grads, ref_state)
         assert params is mlp.params
         assert np.array_equal(mlp.params, ref_params)
+
+
+# 3 warm-up steps, then the minor page faults of 40 desk-shape surrogate steps on one
+# scratch, a short last batch among them, in a fresh process that keeps glibc's defaults
+_SUPERVISED_STEP_FAULTS = """
+import resource
+import numpy as np
+from rispa import engines, neural
+mlp = neural.init_mlp(engines.fse_layer_dims(), seed=0)
+rng = np.random.default_rng(1)
+x = rng.uniform(-1.0, 1.0, size=(128, 40))
+y = rng.uniform(0.0, 1.0, size=(128, 3))
+state = neural.init_adam(mlp.params, 1e-3)
+scratch = {}
+for step in range(43):
+    if step == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rows = 84 if step % 10 == 9 else 128
+    _, grads = neural._supervised_loss_and_grads(mlp, x[:rows], y[:rows], scratch=scratch)
+    neural.adam_step(mlp.params, grads, state)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_supervised_steps_take_no_page_faults():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    proc = subprocess.run([sys.executable, "-c", _SUPERVISED_STEP_FAULTS],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
 
 
 def test_backward_batched_equals_sum_of_singles():
