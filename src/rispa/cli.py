@@ -264,7 +264,7 @@ def cmd_eval(cfg: RunConfig) -> dict:
                                    "the held-out split would not match training")
     t_test = evalkit.target_splits(targets, cfg.settings, cfg.seed)[2]
     result = evalkit.stage_eval(ide, fse, cfg.scene, t_test, cfg.seed)
-    return _evaluated(cfg, result, engines.soft_hard_gap_rms(ide, fse, t_test))
+    return _evaluated(cfg, result, engines.soft_hard_gap_rms(ide, fse, result))
 
 
 def cmd_special_cases(cfg: RunConfig) -> dict:

@@ -30,10 +30,22 @@ from .quantizer import (
     quantize_hard,
     quantize_soft_with_grad,
 )
-from .scene import MAX_COLUMN_COUNT, STATE_COUNT, STATE_STEP_DEG, Scene, measure, state_phases_deg
+from .scene import (
+    MAX_COLUMN_COUNT,
+    STATE_COUNT,
+    STATE_STEP_DEG,
+    Scene,
+    check_states,
+    measure,
+    state_phases_deg,
+)
 
 FSE_HIDDEN = (100, 100)
 IDE_HIDDEN = (50, 50)
+
+# Inference passes run over this many rows at a time, and never over fewer:
+# at 400 rows or fewer OpenBLAS takes another kernel, which changes the bits.
+_CHUNK_ROWS = 1000
 
 
 def fse_layer_dims(column_count: int = 20, probe_count: int = 3):
@@ -98,6 +110,23 @@ def _encode_backward(encoded: np.ndarray, grad_encoded: np.ndarray) -> np.ndarra
     return g * (np.pi / 180.0)
 
 
+def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` for a row-wise ``fn``, run over ``_CHUNK_ROWS`` rows at a time.
+
+    A single row, or ``_CHUNK_ROWS`` rows or fewer, goes through in one call.
+    A longer input never makes a short chunk: the last chunk is the final
+    ``_CHUNK_ROWS`` rows, overlapping the one before, and only its new rows
+    are kept. So every row gets the bits of a one-pass call.
+    """
+    if x.ndim < 2 or len(x) <= _CHUNK_ROWS:
+        return fn(x)
+    parts = []
+    for start in range(0, len(x), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(x))
+        parts.append(fn(x[stop - _CHUNK_ROWS:stop])[start - stop:])
+    return np.concatenate(parts)
+
+
 def profile_encoding(profiles) -> np.ndarray:
     """Encoding of discrete state profiles (via their 45-degree phases)."""
     return encode_phases(state_phases_deg(np.asarray(profiles)))
@@ -141,10 +170,10 @@ def train_fse(
 
 def fse_predict(model: FseModel, profile) -> np.ndarray:
     """Surrogate intensities for a discrete profile (or batch of profiles)."""
-    profile = np.asarray(profile)
-    if profile.shape[-1] != model.column_count:
+    profile = check_states(profile)
+    if profile.shape[-1:] != (model.column_count,):
         raise ValueError(f"profile must hold {model.column_count} states")
-    return neural.forward(model.mlp, profile_encoding(profile))
+    return _in_chunks(lambda rows: neural.forward(model.mlp, profile_encoding(rows)), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +182,10 @@ def fse_predict(model: FseModel, profile) -> np.ndarray:
 
 def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.ndarray:
     """Surrogate prediction through the soft-quantized chain, recording no tape."""
-    raw = neural.forward(ide_mlp, x)
-    angles = ide_output_to_angles(raw)
-    soft, _ = quantize_soft_with_grad(angles, qcfg)
-    return neural.forward(fse_mlp, encode_phases(soft))
+    def chain(rows):
+        soft, _ = quantize_soft_with_grad(ide_output_to_angles(neural.forward(ide_mlp, rows)), qcfg)
+        return neural.forward(fse_mlp, encode_phases(soft))
+    return _in_chunks(chain, np.asarray(x, dtype=float))
 
 
 def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, y,
@@ -246,8 +275,8 @@ def design_batch(ide: IdeModel, targets: np.ndarray) -> np.ndarray:
             f"targets outside trained range [{ide.target_low}, {ide.target_high}]",
             stacklevel=2,
         )
-    raw = neural.forward(ide.mlp, targets)
-    return np.asarray(quantize_hard(ide_output_to_angles(raw)))
+    return _in_chunks(
+        lambda rows: quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, rows))), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +330,16 @@ def closed_loop_eval(
     )
 
 
-def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, targets: TargetDataset) -> float:
+def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, result: EvalResult) -> float:
     """RMS difference between the surrogate fed soft-quantized vs hard-snapped angles.
 
     Quantifies how much the training-time relaxation disagrees with what the
-    hardware can actually realize.
+    hardware can actually realize. The targets and the hard-snapped
+    predictions are those of ``result``, so only the soft pass runs here.
     """
-    t = targets.targets
-    pred_soft = tandem_forward(ide.mlp, fse.mlp, ide.quantizer, t)
-    pred_hard = fse_predict(fse, design_batch(ide, t))
+    probes = len(result.mse_predicted)
+    pred_soft = tandem_forward(ide.mlp, fse.mlp, ide.quantizer, result.table[:, :probes])
+    pred_hard = result.table[:, probes:2 * probes]
     return float(np.sqrt(np.mean((pred_soft - pred_hard) ** 2)))
 
 

@@ -236,7 +236,7 @@ def run_pipeline(scene: Scene, settings: PipelineSettings, seed: int) -> Pipelin
         target_splits=splits,
         eval_result=eval_result,
         special_table=special_table,
-        soft_hard_gap=engines.soft_hard_gap_rms(ide, fse, splits[2]),
+        soft_hard_gap=engines.soft_hard_gap_rms(ide, fse, eval_result),
         timings=timings,
         seed=seed,
     )

@@ -4,6 +4,7 @@ import json
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rispa.engines import (
     ide_layer_dims,
     load_fse,
     load_ide,
+    profile_encoding,
     save_fse,
     save_ide,
     soft_hard_gap_rms,
@@ -28,7 +30,12 @@ from rispa.engines import (
     train_fse,
     train_ide,
 )
-from rispa.quantizer import QuantizerConfig, ide_output_to_angles, quantize_soft_with_grad
+from rispa.quantizer import (
+    QuantizerConfig,
+    ide_output_to_angles,
+    quantize_hard,
+    quantize_soft_with_grad,
+)
 from rispa.scene import default_scene, simulate
 
 
@@ -187,6 +194,31 @@ def test_tandem_steps_take_no_page_faults():
     assert int(proc.stdout) < 100
 
 
+# growth of the peak resident set over one noisy closed-loop eval of 10,000 targets
+# with untrained networks, in a fresh process
+_EVAL_PEAK_GROWTH = """
+import resource
+from rispa import dataio, engines, neural
+from rispa.scene import default_scene
+fse = engines.FseModel(mlp=neural.init_mlp(engines.fse_layer_dims(), seed=1),
+                       column_count=20, i_max=1.0)
+ide = engines.IdeModel(mlp=neural.init_mlp(engines.ide_layer_dims(), seed=0), fse_digest="")
+targets = dataio.generate_targets(10000, seed=2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+engines.closed_loop_eval(ide, fse, default_scene(), targets, noise_seed=3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_closed_loop_eval_memory_is_bounded():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB only on Linux")
+    proc = subprocess.run([sys.executable, "-c", _EVAL_PEAK_GROWTH],
+                          capture_output=True, text=True, check=True)
+    # one pass over the whole batch grows it by about 46 MiB
+    assert int(proc.stdout) < 16 * 1024
+
+
 # ---------------------------------------------------------------------------
 # surrogate training and prediction
 # ---------------------------------------------------------------------------
@@ -219,8 +251,12 @@ def test_fse_predict_contract(tiny_corpus):
     assert a.shape == (3,)
     batch = fse_predict(model, ds.profiles[:5])
     assert batch.shape == (5, 3)
-    with pytest.raises(ValueError, match="20 states"):
-        fse_predict(model, np.zeros(19, dtype=int))
+    for wrong_width in (np.zeros(19, dtype=int), 3):
+        with pytest.raises(ValueError, match="20 states"):
+            fse_predict(model, wrong_width)
+    for off_grid in (np.full(20, 8), np.full(20, 2.5), np.full(20, -1)):
+        with pytest.raises(ValueError, match="state indices"):
+            fse_predict(model, off_grid)
 
 
 @pytest.fixture(scope="module")
@@ -302,9 +338,68 @@ def test_closed_loop_eval_rejects_empty_targets(tiny_tandem):
 
 
 def test_soft_hard_gap_is_finite(tiny_tandem):
-    _, fse, ide, _, targets = tiny_tandem
-    gap = soft_hard_gap_rms(ide, fse, targets)
+    scene, fse, ide, _, targets = tiny_tandem
+    gap = soft_hard_gap_rms(ide, fse, closed_loop_eval(ide, fse, scene, targets))
     assert np.isfinite(gap) and gap >= 0.0
+    # the formula that ran its own hard pass
+    pred_soft = tandem_forward(ide.mlp, fse.mlp, ide.quantizer, targets.targets)
+    pred_hard = fse_predict(fse, design_batch(ide, targets.targets))
+    assert gap == float(np.sqrt(np.mean((pred_soft - pred_hard) ** 2)))
+
+
+@pytest.fixture(scope="module")
+def untrained_models():
+    fse = FseModel(mlp=neural.init_mlp(fse_layer_dims(), seed=41), column_count=20, i_max=1.0)
+    ide = IdeModel(mlp=neural.init_mlp(ide_layer_dims(), seed=42), fse_digest="")
+    return ide, fse
+
+
+@pytest.mark.parametrize("rows", [500, 1000, 1001, 2100, 3000, 4500])
+def test_chunked_inference_is_bit_identical_to_one_pass(untrained_models, rows):
+    ide, fse = untrained_models
+    qcfg = QuantizerConfig(temperature=10.0)
+    rng = np.random.default_rng(rows)
+    targets = rng.uniform(0.0, 0.6, size=(rows, 3))
+    profiles = rng.integers(0, 8, size=(rows, 20))
+    designed = quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, targets)))
+    assert np.array_equal(design_batch(ide, targets), designed)
+    assert np.array_equal(fse_predict(fse, profiles),
+                          neural.forward(fse.mlp, profile_encoding(profiles)))
+    soft, _ = quantize_soft_with_grad(ide_output_to_angles(neural.forward(ide.mlp, targets)), qcfg)
+    assert np.array_equal(tandem_forward(ide.mlp, fse.mlp, qcfg, targets),
+                          neural.forward(fse.mlp, encode_phases(soft)))
+
+
+def test_chunked_noisy_closed_loop_eval_is_bit_identical_to_replay(untrained_models):
+    ide, fse = untrained_models
+    scene = default_scene()  # noise_sigma 0.01
+    targets = dataio.generate_targets(2100, seed=43)
+    res = closed_loop_eval(ide, fse, scene, targets, noise_seed=44)
+    designed = quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, targets.targets)))
+    assert np.array_equal(res.profiles, designed)
+    assert np.array_equal(res.table[:, 3:6], neural.forward(fse.mlp, profile_encoding(designed)))
+    soft, _ = quantize_soft_with_grad(
+        ide_output_to_angles(neural.forward(ide.mlp, targets.targets)), ide.quantizer)
+    pred_soft = neural.forward(fse.mlp, encode_phases(soft))
+    assert soft_hard_gap_rms(ide, fse, res) == float(
+        np.sqrt(np.mean((pred_soft - res.table[:, 3:6]) ** 2)))
+    # the last chunk overlaps the one before from row 1,100; its kept rows start at 2,000
+    rows = [0, 999, 1000, 1099, 1100, 1999, 2000, 2099]
+    rows += np.random.default_rng(45).choice(2100, 8, replace=False).tolist()
+    for i in rows:
+        expected = simulate(scene, res.profiles[i], fse.i_max,
+                            noise_seed=dataio.derive_seed(44, i))
+        assert np.array_equal(res.table[i, 6:], expected)
+
+
+def test_design_batch_warns_once_over_chunks(untrained_models):
+    ide, _ = untrained_models
+    targets = np.random.default_rng(46).uniform(0.0, 0.6, size=(2100, 3))
+    targets[[5, 1500, 2090]] = 0.9  # out of range in every chunk
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        design_batch(ide, targets)
+    assert [str(w.message) for w in caught] == ["targets outside trained range [0.0, 0.6]"]
 
 
 def test_mismatched_surrogate_warns(tiny_tandem):
