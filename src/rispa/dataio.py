@@ -21,9 +21,11 @@ file (states outside 0..7, non-finite values), so a saved dataset loads.
 
 The loaders trust nothing in a file: every header value and every number is
 type-checked and must be finite, and any violation is a ``DatasetFormatError``
-naming the offending line. Each line is parsed on its own, so a record split
-over two lines is refused. The checks run on whole columns at once; only
-when one fails does a per-record scan find the first offending line.
+naming the offending line. One table of rules, read through ``file_field``,
+checks the header fields and the provenance fields of model files. Each line
+is parsed on its own, so a record split over two lines is refused. The checks
+run on whole columns at once; only when one fails does a per-record scan find
+the first offending line.
 """
 
 from __future__ import annotations
@@ -325,25 +327,36 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _header_field(path, header: dict, key: str, valid, expected: str):
-    value = header.get(key)
+# field of a dataset header or of a model's provenance -> (test on its JSON value, what it must be)
+_FIELD_RULES = {
+    "count": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "column_count": (lambda v: type(v) is int and 1 <= v <= MAX_COLUMN_COUNT,
+                     f"an integer in 1..{MAX_COLUMN_COUNT}"),
+    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "quantizer": (lambda v: isinstance(v, dict), "an object"),
+    **dict.fromkeys(("i_max", "temperature"),
+                    (lambda v: _finite_number(v) and v > 0, "a positive finite number")),
+    **dict.fromkeys(("low", "high", "target_low", "target_high"),
+                    (_finite_number, "a finite number")),
+    **dict.fromkeys(("scene_digest", "dataset_digest", "fse_digest"),
+                    (lambda v: isinstance(v, str), "a string")),
+}
+
+
+def file_field(block: dict, key: str):
+    """``block[key]`` if it passes the rule of a file field ``key``; otherwise a ValueError."""
+    valid, expected = _FIELD_RULES[key]
+    value = block.get(key)
     if not valid(value):
-        raise DatasetFormatError(path, 1, f"header {key} must be {expected}, got {value!r}")
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
     return value
 
 
-def _header_positive_int(path, header: dict, key: str) -> int:
-    return _header_field(path, header, key, lambda v: type(v) is int and v >= 1,
-                         "a positive integer")
-
-
-def _header_seed(path, header: dict) -> int:
-    return _header_field(path, header, "seed", lambda v: type(v) is int and v >= 0,
-                         "a non-negative integer")
-
-
-def _header_number(path, header: dict, key: str) -> float:
-    return float(_header_field(path, header, key, _finite_number, "a finite number"))
+def _header_field(path, header: dict, key: str):
+    try:
+        return file_field(header, key)
+    except ValueError as e:
+        raise DatasetFormatError(path, 1, f"header {e}") from None
 
 
 def _uniform_rows(rows, width: int, element_type: type, dtype):
@@ -414,7 +427,7 @@ def _read_records(path, f, expected_format: str, keys):
         raise DatasetFormatError(path, 1, f"not a {expected_format} file")
     if header.get("version") != FORMAT_VERSION:
         raise DatasetFormatError(path, 1, f"unsupported version {header.get('version')!r}")
-    count = _header_positive_int(path, header, "count")
+    count = _header_field(path, header, "count")
     columns = {key: [] for key in keys}
     for i in range(count):
         line_no = i + 2
@@ -433,13 +446,10 @@ def load_scatter(path) -> ScatterDataset:
     """Load a measurement dataset; validates shapes and the header contract."""
     with open(path, "r", encoding="utf-8") as f:
         header, columns = _read_records(path, f, SCATTER_FORMAT, ("profile", "raw"))
-    cols = _header_positive_int(path, header, "column_count")
-    if cols > MAX_COLUMN_COUNT:
-        raise DatasetFormatError(path, 1, f"header column_count exceeds {MAX_COLUMN_COUNT}")
-    i_max = float(_header_field(path, header, "i_max", lambda v: _finite_number(v) and v > 0,
-                                "a positive finite number"))
-    seed = _header_seed(path, header)
-    digest = _header_field(path, header, "scene_digest", lambda v: isinstance(v, str), "a string")
+    cols = _header_field(path, header, "column_count")
+    i_max = float(_header_field(path, header, "i_max"))
+    seed = _header_field(path, header, "seed")
+    digest = _header_field(path, header, "scene_digest")
     profiles = _profile_rows(path, columns["profile"], cols)
     raw = _number_rows(path, columns["raw"], "raw intensities")
     return ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
@@ -467,7 +477,7 @@ def load_targets(path) -> TargetDataset:
         header, columns = _read_records(path, f, TARGET_FORMAT, ("target",))
     return TargetDataset(
         targets=_number_rows(path, columns["target"], "target"),
-        low=_header_number(path, header, "low"),
-        high=_header_number(path, header, "high"),
-        seed=_header_seed(path, header),
+        low=float(_header_field(path, header, "low")),
+        high=float(_header_field(path, header, "high")),
+        seed=_header_field(path, header, "seed"),
     )

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import neural
-from .dataio import ScatterDataset, TargetDataset, _finite_number, derive_seed
+from .dataio import ScatterDataset, TargetDataset, derive_seed, file_field
 from .neural import Mlp, TrainReport
 from .quantizer import (
     QuantizerConfig,
@@ -31,7 +31,6 @@ from .quantizer import (
     quantize_soft_with_grad,
 )
 from .scene import (
-    MAX_COLUMN_COUNT,
     STATE_COUNT,
     STATE_STEP_DEG,
     Scene,
@@ -181,7 +180,7 @@ def fse_predict(model: FseModel, profile) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.ndarray:
-    """Surrogate prediction through the soft-quantized chain, recording no tape."""
+    """Surrogate prediction through the soft-quantized chain, with no scratch."""
     def chain(rows):
         soft, _ = quantize_soft_with_grad(ide_output_to_angles(neural.forward(ide_mlp, rows)), qcfg)
         return neural.forward(fse_mlp, encode_phases(soft))
@@ -192,27 +191,27 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
                           ide_scratch: Optional[dict] = None, fse_scratch: Optional[dict] = None):
     """Batch-mean MSE through the frozen chain and its flat IDE parameter gradient.
 
-    Each network runs forward once and its backward reads the recorded tape.
-    Only the inverse network's parameter gradients are produced; the
-    surrogate contributes its input gradient and is never updated. The two
-    scratches, one per network, are those of ``neural.forward``.
+    Each network runs forward once, into its scratch, and its backward reads
+    that scratch. Only the inverse network's parameter gradients are
+    produced; the surrogate contributes its input gradient and is never
+    updated. Without scratches the step uses fresh ones.
     """
+    ide_scratch = {} if ide_scratch is None else ide_scratch
+    fse_scratch = {} if fse_scratch is None else fse_scratch
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    ide_tape, fse_tape = [], []
-    raw = neural.forward(ide_mlp, x, ide_tape, ide_scratch)
+    raw = neural.forward(ide_mlp, x, ide_scratch)
     angles = ide_output_to_angles(raw)
     soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
     encoded = encode_phases(soft, fse_scratch)
-    pred = neural.forward(fse_mlp, encoded, fse_tape, fse_scratch)
+    pred = neural.forward(fse_mlp, encoded, fse_scratch)
     loss = neural.mse(pred, y)
 
     g_pred = neural.mse_grad(pred, y)
-    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_tape, inputs_only=True,
-                                scratch=fse_scratch).inputs
+    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_scratch, inputs_only=True).inputs
     g_soft = _encode_backward(encoded, g_encoded)
     g_raw = g_soft * soft_grad  # wrap to degrees has unit gradient
-    return loss, neural.backward(ide_mlp, x, g_raw, ide_tape, scratch=ide_scratch).params
+    return loss, neural.backward(ide_mlp, x, g_raw, ide_scratch).params
 
 
 def train_ide(
@@ -347,33 +346,12 @@ def soft_hard_gap_rms(ide: IdeModel, fse: FseModel, result: EvalResult) -> float
 # Model bundle I/O
 # ---------------------------------------------------------------------------
 
-_POSITIVE = (lambda v: _finite_number(v) and v > 0, "a positive finite number")
-_FINITE = (_finite_number, "a finite number")
-_DIGEST = (lambda v: isinstance(v, str), "a string")
-
-# provenance key -> (test on the JSON value, what the value must be)
-_PROVENANCE_RULES = {
-    "column_count": (lambda v: type(v) is int and 1 <= v <= MAX_COLUMN_COUNT,
-                     f"an integer in 1..{MAX_COLUMN_COUNT}"),
-    "seed": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
-    "i_max": _POSITIVE,
-    "temperature": _POSITIVE,
-    "target_low": _FINITE,
-    "target_high": _FINITE,
-    "scene_digest": _DIGEST,
-    "dataset_digest": _DIGEST,
-    "fse_digest": _DIGEST,
-    "quantizer": (lambda v: isinstance(v, dict), "an object"),
-}
-
-
 def _provenance(path, block: dict, key: str):
-    """``block[key]`` if it passes its rule; otherwise a ValueError naming the path."""
-    valid, expected = _PROVENANCE_RULES[key]
-    value = block.get(key)
-    if not valid(value):
-        raise ValueError(f"{path}: provenance {key} must be {expected}, got {value!r}")
-    return value
+    """``block[key]`` if it passes its file-field rule; otherwise a ValueError naming the path."""
+    try:
+        return file_field(block, key)
+    except ValueError as e:
+        raise ValueError(f"{path}: provenance {e}") from None
 
 
 def _load_provenance(path, kind: str, what: str):

@@ -73,8 +73,7 @@ class PipelineSettings:
         for name in ("lr_fse", "lr_ide"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.temperature < np.inf:
-            raise ValueError("temperature must be positive and finite")
+        QuantizerConfig(self.temperature)  # refuses a temperature the quantizer cannot use
         if self.noise_sigma is not None and not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
             raise ValueError(f"noise_sigma must lie in [0, {MAX_NOISE_SIGMA:g}]")
 

@@ -7,17 +7,19 @@ views of it, and ``backward`` returns the parameter gradient in the same flat
 layout, so Adam, the finite check, snapshots and the digest each act on one
 array. Reverse-mode gradients are exact and also returned with respect
 to the input vector, which is what lets an inverse network train through a
-frozen forward surrogate. ``forward`` can record a tape (each layer's input
-and pre-activation) that ``backward`` consumes instead of recomputing the
-pass, and ``backward(..., inputs_only=True)`` skips the parameter gradients
-of a frozen network. Everything is float64 and seeded; the training loop is
-single-threaded so fixed seeds give bit-identical histories.
+frozen forward surrogate. ``backward(..., inputs_only=True)`` skips the
+parameter gradients of a frozen network. Everything is float64 and seeded;
+the training loop is single-threaded so fixed seeds give bit-identical
+histories.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes
 write into it: a step allocates no batch-sized array after the first, and its
-results are views that the next pass with that scratch overwrites.
-``adam_step`` updates the parameters and its moments in place.
+results are views that the next pass with that scratch overwrites. The
+scratch is the record of the forward pass: ``backward`` reads each layer's
+input and pre-activation from the buffers ``forward`` just filled, instead of
+recomputing the pass. ``adam_step`` updates the parameters and its moments in
+place.
 """
 
 from __future__ import annotations
@@ -113,12 +115,12 @@ def scratch_buffer(scratch: Optional[dict], key, shape) -> np.ndarray:
     return buf[:shape[0]]
 
 
-def forward(mlp: Mlp, x, tape: Optional[list] = None, scratch: Optional[dict] = None) -> np.ndarray:
+def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     """Forward pass; accepts a single input vector or a (batch, dim) array.
 
-    When ``tape`` is a list, each layer's (input, pre-activation) pair is
-    appended to it, as 2-D arrays, for ``backward``. With a ``scratch`` the
-    output and the tape are views of its buffers.
+    With a ``scratch`` the output is a view of its buffers, which keep each
+    layer's pre-activation ``("z", i)`` and hidden output ``("h", i)`` for
+    ``backward``.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -129,8 +131,6 @@ def forward(mlp: Mlp, x, tape: Optional[list] = None, scratch: Optional[dict] = 
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w))))
         z += b
-        if tape is not None:
-            tape.append((h, z))
         # the positive part goes where backward later writes this layer's upstream
         h = z if i == last else elu(z, out=scratch_buffer(scratch, ("h", i), z.shape),
                                     work=scratch_buffer(scratch, ("up", i), z.shape))
@@ -160,28 +160,29 @@ class Gradients:
     inputs: np.ndarray
 
 
-def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
-             inputs_only: bool = False, scratch: Optional[dict] = None) -> Gradients:
+def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
+             inputs_only: bool = False) -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
     output). Returns the parameter gradient as one flat vector laid out like
     ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
-    over the batch. ``tape`` is the record of ``forward(mlp, x, tape)``;
-    without it the pass is run here. ``inputs_only`` leaves the parameter
-    gradient as None.
+    over the batch. ``inputs_only`` leaves the parameter gradient as None.
 
-    With a ``scratch`` the gradients are views of its buffers, and the
-    tape's pre-activations are overwritten by their ELU derivatives: a tape
-    is read once.
+    ``scratch`` is the one ``forward(mlp, x, scratch)`` just filled; without
+    it the pass is run here, into a fresh one. The gradients are views of its
+    buffers, and its pre-activations are overwritten by their ELU
+    derivatives: a forward pass is read once.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    if tape is None:
-        tape = []
-        forward(mlp, x, tape, scratch)
+    if scratch is None:
+        scratch = {}
+        forward(mlp, x, scratch)
+    x = np.atleast_2d(x)
+    n = len(x)
     g = np.atleast_2d(np.asarray(grad_output, dtype=float))
-    if g.shape != (tape[0][0].shape[0], mlp.layer_dims[-1]):
+    if g.shape != (n, mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
     grad = None if inputs_only else scratch_buffer(scratch, "grad", mlp.params.shape)
@@ -189,13 +190,13 @@ def backward(mlp: Mlp, x, grad_output, tape: Optional[list] = None,
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
-            np.matmul(delta.T, tape[i][0], out=gw[i])
+            np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=gw[i])
             delta.sum(axis=0, out=gb[i])
         upstream = np.matmul(delta, mlp.weights[i],
-                             out=scratch_buffer(scratch, ("up", i - 1), (len(g), mlp.layer_dims[i])))
+                             out=scratch_buffer(scratch, ("up", i - 1), (n, mlp.layer_dims[i])))
         if i > 0:
-            z = tape[i - 1][1]
-            delta = np.multiply(upstream, elu_grad(z, out=None if scratch is None else z), out=upstream)
+            z = scratch[("z", i - 1)][:n]
+            delta = np.multiply(upstream, elu_grad(z, out=z), out=upstream)
     return Gradients(params=grad, inputs=upstream[0] if squeeze else upstream)
 
 
@@ -210,9 +211,6 @@ class AdamState:
     step_count: int
     learning_rate: float
     work: Tuple[np.ndarray, np.ndarray] = field(repr=False)  # adam_step's two temporaries
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
 
 
 def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
@@ -237,7 +235,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     if not np.all(np.isfinite(grads)):
         raise TrainingDiverged("diverged: non-finite gradient")
     t = state.step_count + 1
-    lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.epsilon
+    lr, b1, b2, eps = state.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m, v = state.first_moment, state.second_moment
     step, denom = state.work
     m *= b1  # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, in that order of operations
@@ -273,10 +271,10 @@ class TrainReport:
 
 
 def _supervised_loss_and_grads(mlp: Mlp, x, y, scratch: Optional[dict] = None):
-    tape = []
-    pred = forward(mlp, x, tape, scratch)
+    scratch = {} if scratch is None else scratch
+    pred = forward(mlp, x, scratch)
     loss = mse(pred, y)
-    return loss, backward(mlp, x, mse_grad(pred, y), tape, scratch=scratch).params
+    return loss, backward(mlp, x, mse_grad(pred, y), scratch).params
 
 
 # overflow and invalid values are caught by the explicit isfinite checks
@@ -333,16 +331,12 @@ def train(
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
             loss, grads = loss_and_grads_fn(model, x=x_train[idx], y=y_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"diverged: non-finite loss at epoch {epoch}", train_losses, val_losses
-                )
             try:
+                if not np.isfinite(loss):
+                    raise TrainingDiverged("diverged: non-finite loss")
                 adam_step(model.params, grads, state)
             except TrainingDiverged as e:
-                raise TrainingDiverged(
-                    f"{e} at epoch {epoch}", train_losses, val_losses
-                ) from e
+                raise TrainingDiverged(f"{e} at epoch {epoch}", train_losses, val_losses) from e
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         # x stays positional: perfbench's tracer counts rows from forward's second argument

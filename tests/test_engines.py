@@ -106,7 +106,7 @@ def test_tandem_gradients_match_finite_differences():
 
 
 def _reference_tandem(ide, fse, qcfg, x, y):
-    """The tandem step composed from public pieces: tape-less backward, sin/cos encode backward."""
+    """The tandem step composed from public pieces: scratch-less backward, sin/cos encode backward."""
     raw = neural.forward(ide, x)
     soft, soft_grad = quantize_soft_with_grad(ide_output_to_angles(raw), qcfg)
     encoded = encode_phases(soft)

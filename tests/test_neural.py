@@ -213,21 +213,22 @@ def test_gradient_correctness_over_100_random_nets():
 
 
 @pytest.mark.parametrize("shape", [(4,), (7, 4)])
-def test_backward_with_tape_is_bit_identical(shape):
+def test_backward_on_the_forward_scratch_is_bit_identical(shape):
     mlp = nn.init_mlp([4, 6, 5, 3], seed=21)
     rng = np.random.default_rng(22)
     x = rng.normal(size=shape)
     gout = rng.normal(size=shape[:-1] + (3,))
-    untaped = nn.backward(mlp, x, gout)
-    tape = []
-    pred = nn.forward(mlp, x, tape)
-    assert np.array_equal(pred, nn.forward(mlp, x))
-    taped = nn.backward(mlp, x, gout, tape)
-    assert np.array_equal(taped.params, untaped.params)
-    assert np.array_equal(taped.inputs, untaped.inputs)
-    inputs_only = nn.backward(mlp, x, gout, tape, inputs_only=True)
-    assert np.array_equal(inputs_only.inputs, untaped.inputs)
-    assert inputs_only.params is None
+    reference = nn.backward(mlp, x, gout)  # runs its own forward pass
+    scratch = {}
+    for inputs_only in (False, True):
+        pred = nn.forward(mlp, x, scratch)  # backward overwrote the last pass's record
+        assert np.array_equal(pred, nn.forward(mlp, x))
+        got = nn.backward(mlp, x, gout, scratch, inputs_only=inputs_only)
+        assert np.array_equal(got.inputs, reference.inputs)
+        if inputs_only:
+            assert got.params is None
+        else:
+            assert np.array_equal(got.params, reference.params)
 
 
 def _plain_loss_and_grads(mlp, x, y):
@@ -495,7 +496,8 @@ def test_train_rejects_empty_validation_set():
                  epochs=1, batch_size=4, learning_rate=1e-3, seed=0)
 
 
-def test_train_divergence_carries_partial_history():
+@pytest.mark.parametrize("poison", ["loss", "gradient"])
+def test_train_divergence_carries_partial_history(poison):
     x, y = _toy_pairs(8, seed=16)
     mlp = nn.init_mlp([3, 4, 2], seed=17)
 
@@ -503,14 +505,19 @@ def test_train_divergence_carries_partial_history():
 
     def poisoned(model, x, y):
         calls["n"] += 1
-        if calls["n"] >= 3:
-            return float("nan"), np.zeros_like(model.params)
-        return nn._supervised_loss_and_grads(model, x, y)
+        loss, grads = nn._supervised_loss_and_grads(model, x, y)
+        if calls["n"] < 3:
+            return loss, grads
+        if poison == "loss":
+            return float("nan"), grads
+        return loss, np.full_like(grads, np.nan)
 
     with pytest.raises(nn.TrainingDiverged) as exc:
         nn.train(mlp, (x, y), (x, y), epochs=10, batch_size=4,
                  learning_rate=1e-3, seed=18, loss_and_grads_fn=poisoned)
-    assert len(exc.value.train_losses) == 1  # one full epoch completed
+    assert str(exc.value).endswith(f"non-finite {poison} at epoch 1")
+    # one full epoch completed
+    assert len(exc.value.train_losses) == 1 and len(exc.value.val_losses) == 1
 
 
 # ---------------------------------------------------------------------------
