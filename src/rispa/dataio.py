@@ -12,20 +12,26 @@ each record is reproducible on its own. ``derive_seed`` takes the record
 indices as one array and hashes every seed in one vectorized pass, with the
 same values as one ``SeedSequence`` per record.
 
-The writer formats records a block of a hundred at a time: one
-``json.dumps`` per array and block, split at the row breaks, gives the bytes
-of one ``json.dumps`` per record. ``digest()`` hashes the same blocks, so it
-equals the SHA-256 of the saved file without building the file in memory.
-The dataset classes refuse at construction what the loaders refuse in a
-file (states outside 0..7, non-finite values), so a saved dataset loads.
+The writer formats records a block of a hundred at a time, with the bytes of
+one ``json.dumps`` per record: float rows take one ``json.dumps`` per array
+and block, split at the row breaks, and state rows, one digit each, are
+written by numpy from their ASCII digits. ``digest()`` hashes the same
+blocks, so it equals the SHA-256 of the saved file without building the file
+in memory. The dataset classes refuse at construction what the loaders
+refuse in a file (states outside 0..7, non-finite values), so a saved
+dataset loads.
 
 The loaders trust nothing in a file: every header value and every number is
 type-checked and must be finite, and any violation is a ``DatasetFormatError``
 naming the offending line. One table of rules, read through ``file_field``,
-checks the header fields and the provenance fields of model files. Each line
-is parsed on its own, so a record split over two lines is refused. The checks
-run on whole columns at once; only when one fails does a per-record scan find
-the first offending line.
+checks the header fields and the provenance fields of model files. A file in
+the writer's own form (its spacing and key order, states 0..7, numbers with
+a fraction or an exponent and finite, lists as wide as the header's column
+count or the first record's) is read a block of lines at a time and
+converted as whole columns. Any other file is read again from its first
+record, one ``json.loads`` per line and one check per record, so it loads
+to the same values or names the same first offending line. Either way each
+line is one record, so a record split over two lines is refused.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -51,6 +58,7 @@ FORMAT_VERSION = 1
 
 DEFAULT_TARGET_LOW = 0.0
 DEFAULT_TARGET_HIGH = 0.6
+_TARGET_SLACK = 1e-12  # how far outside [low, high] a target component may lie
 
 
 def derive_seed(master: int, *keys):
@@ -145,7 +153,8 @@ class TargetDataset:
             raise ValueError("targets and their range must be finite")
         if not self.low < self.high:
             raise ValueError("low must be < high")
-        if self.targets.min() < self.low - 1e-12 or self.targets.max() > self.high + 1e-12:
+        if (self.targets.min() < self.low - _TARGET_SLACK
+                or self.targets.max() > self.high + _TARGET_SLACK):
             raise ValueError("target components must lie in [low, high]")
 
     def __len__(self) -> int:
@@ -266,24 +275,42 @@ def generate_targets(
 # Persistence (JSON lines)
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 100  # records per block of text, written or hashed at once
+_BLOCK_ROWS = 100  # records per block of text, written, hashed or read at once
+
+
+def _row_texts(rows: np.ndarray) -> list:
+    """Each row's items as ``json.dumps(row.tolist())`` writes them, without the brackets.
+
+    Float rows go through one ``json.dumps`` for the block, split at the row
+    breaks. Integer rows are states, one digit each, so numpy writes their
+    ``d, d, …`` text from the ASCII digits.
+    """
+    if rows.dtype.kind == "f":
+        return json.dumps(rows.tolist())[2:-2].split("], [")
+    n, width = check_states(rows).shape
+    text = np.empty((n, 3 * width), dtype=np.uint8)
+    np.add(rows, ord("0"), out=text[:, 0::3], casting="unsafe")
+    text[:, 1::3] = ord(",")
+    text[:, 2::3] = ord(" ")
+    flat = text[:, :-2].tobytes().decode("ascii")
+    size = 3 * width - 2
+    return [flat[i:i + size] for i in range(0, len(flat), size)]
 
 
 def _jsonl_blocks(header: dict, fields: dict):
     """JSON-lines text in blocks of up to ``_BLOCK_ROWS`` records, header first.
 
-    Record i is ``json.dumps({key: array[i].tolist() for key, array in fields.items()})``.
-    Each block dumps its rows of every array in one ``json.dumps`` call and
-    splits that text at the row breaks, which gives the same bytes as one
-    call per record. Small blocks keep the transient text and per-line strings
-    small, so they reuse freed memory instead of growing the heap.
+    Record i is ``json.dumps({key: array[i].tolist() for key, array in fields.items()})``;
+    each block renders its rows of every array at once (``_row_texts``), which
+    gives the same bytes as one call per record. Small blocks keep the
+    transient text and per-line strings small, so they reuse freed memory
+    instead of growing the heap.
     """
     yield json.dumps(header) + "\n"
     line = "{" + ", ".join(f"{json.dumps(key)}: [%s]" for key in fields) + "}\n"
     arrays = list(fields.values())
     for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-        rows = [json.dumps(a[start:start + _BLOCK_ROWS].tolist())[2:-2].split("], [")
-                for a in arrays]
+        rows = [_row_texts(a[start:start + _BLOCK_ROWS]) for a in arrays]
         yield "".join([line % texts for texts in zip(*rows)])
 
 
@@ -359,29 +386,10 @@ def _header_field(path, header: dict, key: str):
         raise DatasetFormatError(path, 1, f"header {e}") from None
 
 
-def _uniform_rows(rows, width: int, element_type: type, dtype):
-    """``rows`` as one (len, width) array if every row is a list of ``width`` values of
-    exactly ``element_type``; None otherwise, or when a Python int overflows ``dtype``."""
-    if not (width and all(isinstance(row, list) and len(row) == width for row in rows)
-            and set(map(type, chain.from_iterable(rows))) <= {element_type}):
-        return None
-    try:
-        return np.array(rows, dtype=dtype)
-    except OverflowError:
-        return None
-
-
 def _number_rows(path, rows, what: str) -> np.ndarray:
-    """(records, width) floats from one field: equal-length lists of finite numbers.
-
-    Lists of floats are checked as one array. Anything else (ints, whose range
-    check must be exact, or a bad record) goes through the per-record scan,
-    which names the first offending line.
-    """
+    """(records, width) floats from one field: equal-length lists of finite numbers;
+    the first offending record's line is named."""
     width = len(rows[0]) if isinstance(rows[0], list) else 0
-    values = _uniform_rows(rows, width, float, float)
-    if values is not None and np.isfinite(values).all():
-        return values
     values = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if (width == 0 or not isinstance(row, list) or len(row) != width
@@ -395,10 +403,7 @@ def _number_rows(path, rows, what: str) -> np.ndarray:
 
 
 def _profile_rows(path, rows, cols: int) -> np.ndarray:
-    """(records, cols) state indices, checked as one array; a per-record scan names a bad line."""
-    profiles = _uniform_rows(rows, cols, int, int)
-    if profiles is not None and profiles.min() >= 0 and profiles.max() < STATE_COUNT:
-        return profiles
+    """(records, cols) state indices; the first offending record's line is named."""
     profiles = np.empty((len(rows), cols), dtype=int)
     for i, profile in enumerate(rows):
         if not isinstance(profile, list) or len(profile) != cols:
@@ -413,21 +418,68 @@ def _profile_rows(path, rows, cols: int) -> np.ndarray:
     return profiles
 
 
-def _read_records(path, f, expected_format: str, keys):
-    """The header and, per key, the list of every record's value (None where absent).
+# list items of a record line in the writer's form: a state is one digit; a number is a
+# JSON number with a fraction or an exponent, as ``json.dumps`` writes every float
+_STATE = f"[0-{STATE_COUNT - 1}]"
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 
-    Each record's object is dropped once its values are taken, so a large
-    file never holds all of its record dicts at once.
+
+def _line_pattern(fields: dict, widths) -> re.Pattern:
+    """A record line in the writer's form with ``fields`` (see ``_writer_columns``), one
+    group per list's text; a width of None lets that list hold any number of items."""
+    lists = [f"{re.escape(json.dumps(key))}: \\[({item}(?:, {item})"
+             + ("*" if width is None else f"{{{width - 1}}}") + ")\\]"
+             for (key, (item, _)), width in zip(fields.items(), widths)]
+    return re.compile(r"\{" + ", ".join(lists) + r"\}\n")
+
+
+def _writer_columns(f, count: int, fields: dict):
+    """Every record as whole (count, width) columns if each line is in the writer's form;
+    None as soon as one is not.
+
+    ``fields`` maps each key, in line order, to (item pattern, width, or None
+    for the first record's). The lines are matched a block at a time. States
+    come from their digits; numbers go through Python ``float``, which rounds
+    as ``json`` does, and must be finite.
     """
     first = f.readline()
-    if not first.strip():
-        raise DatasetFormatError(path, 1, "missing header line")
-    header = _parse_json_line(path, 1, first)
-    if header.get("format") != expected_format:
-        raise DatasetFormatError(path, 1, f"not a {expected_format} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetFormatError(path, 1, f"unsupported version {header.get('version')!r}")
-    count = _header_field(path, header, "count")
+    match = _line_pattern(fields, [None] * len(fields)).fullmatch(first)
+    if match is None:
+        return None
+    widths = [text.count(",") + 1 for text in match.groups()]
+    if any(want is not None and want != width
+           for (_, want), width in zip(fields.values(), widths)):
+        return None
+    # every item takes at least three bytes with its separator, so no array outgrows the file
+    if 3 * count * sum(widths) > os.fstat(f.fileno()).st_size:
+        return None
+    pattern = _line_pattern(fields, widths)
+    columns = {key: np.empty((count, width), dtype=int if item == _STATE else float)
+               for (key, (item, _)), width in zip(fields.items(), widths)}
+    lines = [first]  # the first block's first line is read already
+    for start in range(0, count, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, count - start)
+        lines += [f.readline() for _ in range(n - len(lines))]
+        matches = [pattern.fullmatch(line) for line in lines]
+        if None in matches:
+            return None
+        for (key, (item, _)), texts in zip(fields.items(), zip(*[m.groups() for m in matches])):
+            rows = columns[key][start:start + n]
+            if item == _STATE:
+                digits = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+                np.subtract(digits.reshape(n, -1)[:, ::3], ord("0"), out=rows)
+            else:
+                rows.flat[:] = list(map(float, ", ".join(texts).split(", ")))
+                if not np.isfinite(rows).all():
+                    return None
+        lines = []
+    return columns
+
+
+def _json_columns(path, f, count: int, keys) -> dict:
+    """Per key, the list of every record's value (None where absent), one ``json.loads``
+    per line. Each record's object is dropped once its values are taken, so a
+    large file never holds all of its record dicts at once."""
     columns = {key: [] for key in keys}
     for i in range(count):
         line_no = i + 2
@@ -439,19 +491,50 @@ def _read_records(path, f, expected_format: str, keys):
         record = _parse_json_line(path, line_no, text)
         for key, values in columns.items():
             values.append(record.get(key))
-    return header, columns
+    return columns
+
+
+def _read_header(path, f, expected_format: str) -> dict:
+    """The header line, checked for its format, version and record count."""
+    first = f.readline()
+    if not first.strip():
+        raise DatasetFormatError(path, 1, "missing header line")
+    header = _parse_json_line(path, 1, first)
+    if header.get("format") != expected_format:
+        raise DatasetFormatError(path, 1, f"not a {expected_format} file")
+    if header.get("version") != FORMAT_VERSION:
+        raise DatasetFormatError(path, 1, f"unsupported version {header.get('version')!r}")
+    _header_field(path, header, "count")
+    return header
+
+
+def _read_records(path, f, count: int, fields: dict) -> dict:
+    """Per key of ``fields`` (see ``_writer_columns``), every record's value: one checked
+    array when each line is in the writer's form, else the list of JSON values,
+    read again line by line from the first record."""
+    if f.seekable():
+        start = f.tell()
+        columns = _writer_columns(f, count, fields)
+        if columns is not None:
+            return columns
+        f.seek(start)
+    return _json_columns(path, f, count, fields)
 
 
 def load_scatter(path) -> ScatterDataset:
     """Load a measurement dataset; validates shapes and the header contract."""
     with open(path, "r", encoding="utf-8") as f:
-        header, columns = _read_records(path, f, SCATTER_FORMAT, ("profile", "raw"))
+        header = _read_header(path, f, SCATTER_FORMAT)
+        columns = _read_records(path, f, header["count"], {
+            "profile": (_STATE, header.get("column_count")), "raw": (_NUMBER, None)})
     cols = _header_field(path, header, "column_count")
     i_max = float(_header_field(path, header, "i_max"))
     seed = _header_field(path, header, "seed")
     digest = _header_field(path, header, "scene_digest")
-    profiles = _profile_rows(path, columns["profile"], cols)
-    raw = _number_rows(path, columns["raw"], "raw intensities")
+    profiles, raw = columns["profile"], columns["raw"]
+    if isinstance(raw, list):  # parsed line by line: check every record
+        profiles = _profile_rows(path, profiles, cols)
+        raw = _number_rows(path, raw, "raw intensities")
     return ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
 
 
@@ -474,10 +557,17 @@ def save_targets(ds: TargetDataset, path) -> None:
 
 def load_targets(path) -> TargetDataset:
     with open(path, "r", encoding="utf-8") as f:
-        header, columns = _read_records(path, f, TARGET_FORMAT, ("target",))
-    return TargetDataset(
-        targets=_number_rows(path, columns["target"], "target"),
-        low=float(_header_field(path, header, "low")),
-        high=float(_header_field(path, header, "high")),
-        seed=_header_field(path, header, "seed"),
-    )
+        header = _read_header(path, f, TARGET_FORMAT)
+        targets = _read_records(path, f, header["count"], {"target": (_NUMBER, None)})["target"]
+    if isinstance(targets, list):
+        targets = _number_rows(path, targets, "target")
+    low = float(_header_field(path, header, "low"))
+    high = float(_header_field(path, header, "high"))
+    seed = _header_field(path, header, "seed")
+    if not low < high:
+        raise DatasetFormatError(path, 1, f"header low must be < high, got {low!r} and {high!r}")
+    outside = ((targets < low - _TARGET_SLACK) | (targets > high + _TARGET_SLACK)).any(axis=1)
+    if outside.any():
+        raise DatasetFormatError(path, int(outside.argmax()) + 2,
+                                 f"target components must lie in [{low!r}, {high!r}]")
+    return TargetDataset(targets=targets, low=low, high=high, seed=seed)

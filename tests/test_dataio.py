@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rispa import dataio
 from rispa.dataio import (
     DatasetFormatError,
     ScatterDataset,
@@ -250,6 +251,68 @@ def test_save_targets_bytes_match_per_record_dumps(tmp_path):
     assert ds.digest() == hashlib.sha256(saved).hexdigest()
 
 
+def _compact(path, out):
+    """The records of ``path`` re-dumped without spaces: valid JSON that is not in the
+    writer's form, so only the per-line JSON path reads it."""
+    lines = path.read_text().splitlines()
+    out.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                           for line in lines))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _edge_scatter(1),
+    lambda: _edge_scatter(100),
+    lambda: _edge_scatter(101),
+    lambda: _edge_scatter(2001),
+    lambda: collect(default_scene(with_obstacle=True), count=250, seed=6),
+], ids=["edge-1", "edge-100", "edge-101", "edge-2001", "collected-250"])
+def test_column_and_json_paths_load_the_same_dataset(tmp_path, monkeypatch, make):
+    ds = make()
+    path = tmp_path / "data.jsonl"
+    save_scatter(ds, path)
+    compact = _compact(path, tmp_path / "compact.jsonl")
+    json_loaded = load_scatter(compact)
+    with monkeypatch.context() as m:  # the writer's own file never reaches the JSON path
+        m.setattr(dataio, "_json_columns", None)
+        column_loaded = load_scatter(path)
+    for loaded in (column_loaded, json_loaded):
+        assert loaded.raw.tobytes() == ds.raw.tobytes()
+        assert loaded.profiles.tobytes() == ds.profiles.tobytes()
+        assert (loaded.i_max, loaded.seed, loaded.scene_digest) == (ds.i_max, ds.seed, ds.scene_digest)
+
+
+def test_target_column_and_json_paths_agree(tmp_path, monkeypatch):
+    ds = generate_targets(2001, seed=8)
+    path = tmp_path / "targets.jsonl"
+    save_targets(ds, path)
+    json_loaded = load_targets(_compact(path, tmp_path / "compact.jsonl"))
+    monkeypatch.setattr(dataio, "_json_columns", None)
+    assert load_targets(path).targets.tobytes() == json_loaded.targets.tobytes() == ds.targets.tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), records=st.integers(1, 130), columns=st.integers(1, 6),
+       probes=st.integers(1, 4))
+def test_any_finite_raw_and_any_states_round_trip_bit_exactly(tmp_path, data, records,
+                                                              columns, probes):
+    raw = data.draw(st.lists(st.lists(_FINITE, min_size=probes, max_size=probes),
+                             min_size=records, max_size=records))
+    states = data.draw(st.lists(st.lists(st.integers(0, 7), min_size=columns, max_size=columns),
+                                min_size=records, max_size=records))
+    ds = ScatterDataset(profiles=np.array(states), raw=np.array(raw), i_max=1.0, seed=0,
+                        scene_digest="h")
+    path = tmp_path / "data.jsonl"
+    save_scatter(ds, path)
+    loaded = load_scatter(path)
+    assert loaded.raw.tobytes() == ds.raw.tobytes()
+    assert loaded.profiles.tobytes() == ds.profiles.tobytes()
+
+
 def test_targets_round_trip(tmp_path):
     ds = generate_targets(25, seed=8)
     path = tmp_path / "targets.jsonl"
@@ -396,16 +459,49 @@ MALFORMED_SCATTER = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_SCATTER)
-def test_malformed_scatter_files_name_the_line(tmp_path, small_dataset, case):
-    path = tmp_path / "data.jsonl"
-    save_scatter(small_dataset, path)
+def _check_malformed_scatter(path, dataset, case, record=None):
+    """Save ``dataset``, apply ``case`` (its record edit moved to ``record`` if given) and
+    expect the loader to name the edited line."""
+    save_scatter(dataset, path)
     line_index, edit = MALFORMED_SCATTER[case]
-    if case == "empty-raw":  # every record, so that no width can be inferred
-        for i in range(1, len(small_dataset) + 1):
+    if record is not None and line_index > 0:
+        line_index = record
+    if case == "empty-raw":  # every record from there on, so that no width can be inferred
+        for i in range(line_index, len(dataset) + 1):
             _edited(path, i, edit)
     else:
         _edited(path, line_index, edit)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_scatter(path)
+    assert exc.value.line == line_index + 1
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCATTER)
+def test_malformed_scatter_files_name_the_line(tmp_path, small_dataset, case):
+    _check_malformed_scatter(tmp_path / "data.jsonl", small_dataset, case)
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCATTER)
+def test_malformed_scatter_files_name_the_line_in_the_second_block(tmp_path, case):
+    # record 150 of 250: the first block of 100 records is in the writer's form
+    _check_malformed_scatter(tmp_path / "data.jsonl", _fake_scatter(250), case, record=150)
+
+
+def _with_number_text(path, line_index, text):
+    """Replace the first raw number of one record line by ``text``, leaving the rest as written."""
+    lines = path.read_text().splitlines(keepends=True)
+    head, tail = lines[line_index].split('"raw": [')
+    lines[line_index] = head + '"raw": [' + text + tail[tail.index(","):]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", ".5", "1.",
+                                  "+1.0", "01.5", "1.0e", "1_0.0"])
+@pytest.mark.parametrize("line_index", [3, 150])
+def test_raw_number_outside_the_json_grammar_names_its_line(tmp_path, text, line_index):
+    path = tmp_path / "data.jsonl"
+    save_scatter(_fake_scatter(250), path)
+    _with_number_text(path, line_index, text)
     with pytest.raises(DatasetFormatError) as exc:
         load_scatter(path)
     assert exc.value.line == line_index + 1
@@ -419,6 +515,33 @@ def test_loader_names_the_first_offending_record(tmp_path, small_dataset):
     with pytest.raises(DatasetFormatError) as exc:
         load_scatter(path)
     assert exc.value.line == 7
+
+
+@pytest.mark.parametrize("text", ["1E5", "1.50", "2.5e-3", "-0.0", "2", " 1.0", "1e-400"])
+def test_raw_number_texts_that_json_reads_load_with_its_value(tmp_path, text):
+    path = tmp_path / "data.jsonl"
+    save_scatter(_fake_scatter(250), path)
+    _with_number_text(path, 150, text)
+    loaded = load_scatter(path)
+    assert loaded.raw[149, 0].tobytes() == np.float64(json.loads(text)).tobytes()
+
+
+def test_header_column_count_off_the_records_names_the_first_record(tmp_path, small_dataset):
+    path = tmp_path / "data.jsonl"
+    save_scatter(small_dataset, path)
+    _edited(path, 0, _set("column_count", 19))
+    with pytest.raises(DatasetFormatError, match="19 states") as exc:
+        load_scatter(path)
+    assert exc.value.line == 2
+
+
+def test_header_count_beyond_the_file_is_a_truncation(tmp_path, small_dataset):
+    path = tmp_path / "data.jsonl"
+    save_scatter(small_dataset, path)
+    _edited(path, 0, _set("count", 10**12))
+    with pytest.raises(DatasetFormatError, match="truncated") as exc:
+        load_scatter(path)
+    assert exc.value.line == len(small_dataset) + 2
 
 
 def test_integer_raw_values_in_range_load(tmp_path, small_dataset):
@@ -437,6 +560,9 @@ MALFORMED_TARGETS = {
     "nan-target": (2, _set("target", [0.1, float("nan"), 0.3])),
     "null-target": (2, _set("target", None)),
     "short-target": (4, _set("target", [0.1, 0.2])),
+    "low-not-below-high": (0, _set("low", 0.6)),
+    "target-above-high": (3, _set("target", [0.1, 0.6 + 1e-9, 0.3])),
+    "target-below-low": (5, _set("target", [-1e-9, 0.2, 0.3])),
 }
 
 
@@ -449,6 +575,13 @@ def test_malformed_target_files_name_the_line(tmp_path, case):
     with pytest.raises(DatasetFormatError) as exc:
         load_targets(path)
     assert exc.value.line == line_index + 1
+
+
+def test_targets_within_the_slack_load(tmp_path):
+    path = tmp_path / "targets.jsonl"
+    save_targets(generate_targets(6, seed=8), path)
+    _edited(path, 2, _set("target", [0.6 + 1e-13, -1e-13, 0.3]))
+    assert load_targets(path).targets[1].tolist() == [0.6 + 1e-13, -1e-13, 0.3]
 
 
 _JSON = st.recursive(
