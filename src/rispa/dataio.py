@@ -24,25 +24,30 @@ dataset loads.
 The loaders trust nothing in a file: every header value and every number is
 type-checked and must be finite, and any violation is a ``DatasetFormatError``
 naming the offending line. One table of rules, read through ``file_field``,
-checks the header fields and the provenance fields of model files. A file in
-the writer's own form (its spacing and key order, states 0..7, numbers with
-a fraction or an exponent and finite, lists as wide as the header's column
-count or the first record's) is read a block of lines at a time and
-converted as whole columns. Any other file is read again from its first
-record, one ``json.loads`` per line and one check per record, so it loads
-to the same values or names the same first offending line. Either way each
-line is one record, so a record split over two lines is refused.
+checks the header fields and the provenance fields of model files, all of
+them before any record is read. The records are read in one pass, a block of
+lines at a time, into arrays allocated once (no larger than the file's size
+can fill). A block whose every line is in the writer's own form (its spacing
+and key order, states 0..7, finite numbers with a fraction or an exponent,
+lists as wide as the header's column count or the first record's) is
+converted as whole columns. Any other block goes one ``json.loads`` and one
+check per line, so it loads to the same values, and the first offending line
+of the file is the one named. Each line is one record, so a record split
+over two lines is refused, and only blank lines may follow the header's
+count of records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,36 +391,17 @@ def _header_field(path, header: dict, key: str):
         raise DatasetFormatError(path, 1, f"header {e}") from None
 
 
-def _number_rows(path, rows, what: str) -> np.ndarray:
-    """(records, width) floats from one field: equal-length lists of finite numbers;
-    the first offending record's line is named."""
-    width = len(rows[0]) if isinstance(rows[0], list) else 0
-    values = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if (width == 0 or not isinstance(row, list) or len(row) != width
-                or not all(_finite_number(v) for v in row)):
-            raise DatasetFormatError(
-                path, i + 2, f"{what} must be a non-empty list of finite numbers, "
-                f"as long as the first record's",
-            )
-        values[i] = row
-    return values
+class _Field(NamedTuple):
+    """One list of every record line: ``width`` states if ``item`` is ``_STATE``, else
+    numbers in [low, high] (``_TARGET_SLACK`` outside it at most), as many as the first
+    record's when ``width`` is None. ``what`` names the numbers in messages."""
 
-
-def _profile_rows(path, rows, cols: int) -> np.ndarray:
-    """(records, cols) state indices; the first offending record's line is named."""
-    profiles = np.empty((len(rows), cols), dtype=int)
-    for i, profile in enumerate(rows):
-        if not isinstance(profile, list) or len(profile) != cols:
-            raise DatasetFormatError(
-                path, i + 2,
-                f"profile must hold {cols} states, got {len(profile) if isinstance(profile, list) else profile!r}",
-            )
-        if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in profile):
-            raise DatasetFormatError(path, i + 2,
-                                     f"state indices must be integers in 0..{STATE_COUNT - 1}")
-        profiles[i] = profile
-    return profiles
+    key: str
+    item: str  # the regex of one list item in the writer's form
+    width: int | None
+    what: str = ""
+    low: float = -sys.float_info.max
+    high: float = sys.float_info.max
 
 
 # list items of a record line in the writer's form: a state is one digit; a number is a
@@ -424,74 +410,50 @@ _STATE = f"[0-{STATE_COUNT - 1}]"
 _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 
 
-def _line_pattern(fields: dict, widths) -> re.Pattern:
-    """A record line in the writer's form with ``fields`` (see ``_writer_columns``), one
-    group per list's text; a width of None lets that list hold any number of items."""
-    lists = [f"{re.escape(json.dumps(key))}: \\[({item}(?:, {item})"
-             + ("*" if width is None else f"{{{width - 1}}}") + ")\\]"
-             for (key, (item, _)), width in zip(fields.items(), widths)]
+def _line_pattern(fields, widths) -> re.Pattern:
+    """A record line in the writer's form (its spacing and key order) with ``widths`` items
+    per list, one group per list's text."""
+    lists = [f"{re.escape(json.dumps(field.key))}: \\[({field.item}(?:, {field.item}){{{width - 1}}})\\]"
+             for field, width in zip(fields, widths)]
     return re.compile(r"\{" + ", ".join(lists) + r"\}\n")
 
 
-def _writer_columns(f, count: int, fields: dict):
-    """Every record as whole (count, width) columns if each line is in the writer's form;
-    None as soon as one is not.
-
-    ``fields`` maps each key, in line order, to (item pattern, width, or None
-    for the first record's). The lines are matched a block at a time. States
-    come from their digits; numbers go through Python ``float``, which rounds
-    as ``json`` does, and must be finite.
-    """
-    first = f.readline()
-    match = _line_pattern(fields, [None] * len(fields)).fullmatch(first)
-    if match is None:
-        return None
-    widths = [text.count(",") + 1 for text in match.groups()]
-    if any(want is not None and want != width
-           for (_, want), width in zip(fields.values(), widths)):
-        return None
-    # every item takes at least three bytes with its separator, so no array outgrows the file
-    if 3 * count * sum(widths) > os.fstat(f.fileno()).st_size:
-        return None
-    pattern = _line_pattern(fields, widths)
-    columns = {key: np.empty((count, width), dtype=int if item == _STATE else float)
-               for (key, (item, _)), width in zip(fields.items(), widths)}
-    lines = [first]  # the first block's first line is read already
-    for start in range(0, count, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, count - start)
-        lines += [f.readline() for _ in range(n - len(lines))]
-        matches = [pattern.fullmatch(line) for line in lines]
-        if None in matches:
-            return None
-        for (key, (item, _)), texts in zip(fields.items(), zip(*[m.groups() for m in matches])):
-            rows = columns[key][start:start + n]
-            if item == _STATE:
-                digits = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
-                np.subtract(digits.reshape(n, -1)[:, ::3], ord("0"), out=rows)
-            else:
-                rows.flat[:] = list(map(float, ", ".join(texts).split(", ")))
-                if not np.isfinite(rows).all():
-                    return None
-        lines = []
-    return columns
+def _checked_list(path, line_no: int, field: _Field, value, width: int) -> list:
+    """``value`` if it is the list of ``width`` items that ``field`` holds; else the line is named."""
+    is_list = isinstance(value, list)
+    if field.item == _STATE:
+        if not is_list or len(value) != width:
+            got = len(value) if is_list else repr(value)
+            raise DatasetFormatError(path, line_no, f"profile must hold {width} states, got {got}")
+        if any(type(s) is not int or s < 0 or s >= STATE_COUNT for s in value):
+            raise DatasetFormatError(path, line_no, f"state indices must be integers in 0..{STATE_COUNT - 1}")
+    elif not is_list or len(value) != width or not all(_finite_number(v) for v in value):
+        raise DatasetFormatError(path, line_no, f"{field.what} must be a non-empty list of finite "
+                                 "numbers, as long as the first record's")
+    elif not _in_range(field, float(min(value)), float(max(value))):
+        raise DatasetFormatError(path, line_no, f"{field.what} components must lie in "
+                                 f"[{field.low!r}, {field.high!r}]")
+    return value
 
 
-def _json_columns(path, f, count: int, keys) -> dict:
-    """Per key, the list of every record's value (None where absent), one ``json.loads``
-    per line. Each record's object is dropped once its values are taken, so a
-    large file never holds all of its record dicts at once."""
-    columns = {key: [] for key in keys}
-    for i in range(count):
-        line_no = i + 2
-        text = f.readline()
-        if not text:
-            raise DatasetFormatError(
-                path, line_no, f"file truncated: expected {count} records, found {i}"
-            )
-        record = _parse_json_line(path, line_no, text)
-        for key, values in columns.items():
-            values.append(record.get(key))
-    return columns
+def _in_range(field: _Field, least: float, most: float) -> bool:
+    """Numbers from ``least`` to ``most`` lie in the field's range (so neither is NaN)."""
+    return field.low - _TARGET_SLACK <= least and most <= field.high + _TARGET_SLACK
+
+
+def _column_rows(fields, block, matches) -> bool:
+    """Fill ``block`` (one rows view per field) from lines in the writer's form, as whole
+    columns: states from their digits, numbers through Python ``float``, which rounds as
+    ``json`` does. False if a number lies outside its field's range."""
+    for field, rows, texts in zip(fields, block, zip(*[m.groups() for m in matches])):
+        if field.item == _STATE:
+            digits = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+            np.subtract(digits.reshape(len(rows), -1)[:, ::3], ord("0"), out=rows)
+        else:
+            rows.flat[:] = list(map(float, ", ".join(texts).split(", ")))
+            if not _in_range(field, rows.min(), rows.max()):
+                return False
+    return True
 
 
 def _read_header(path, f, expected_format: str) -> dict:
@@ -508,34 +470,62 @@ def _read_header(path, f, expected_format: str) -> dict:
     return header
 
 
-def _read_records(path, f, count: int, fields: dict) -> dict:
-    """Per key of ``fields`` (see ``_writer_columns``), every record's value: one checked
-    array when each line is in the writer's form, else the list of JSON values,
-    read again line by line from the first record."""
+def _read_records(path, f, count: int, fields) -> list:
+    """One checked (count, width) array per field, in one pass over the records.
+
+    The lines are read a block at a time. A block whose every line is in the
+    writer's form is converted as whole columns (``_column_rows``); any other
+    block goes one ``json.loads`` and one ``_checked_list`` per line, so the first
+    offending line is the one named. The arrays hold no more rows than the file's
+    size can (every list item takes at least two bytes), and nothing but blank
+    lines may follow the last record.
+    """
     if f.seekable():
-        start = f.tell()
-        columns = _writer_columns(f, count, fields)
-        if columns is not None:
-            return columns
-        f.seek(start)
-    return _json_columns(path, f, count, fields)
+        size = os.fstat(f.fileno()).st_size
+    else:  # a pipe has no size to bound the arrays by, so it is read whole first
+        text = f.read()
+        f, size = io.StringIO(text), len(text)
+    arrays = []
+    for start in range(0, count, _BLOCK_ROWS):
+        lines = [f.readline() for _ in range(min(_BLOCK_ROWS, count - start))]
+        if not arrays:
+            # the first record gives the width of each list the header does not; a width of
+            # 1 stands in for a value that is no list or an empty one, which its check refuses
+            first = _parse_json_line(path, 2, lines[0]) if lines[0] else {}
+            values = [first.get(field.key) for field in fields]
+            widths = [field.width or (len(v) if isinstance(v, list) and v else 1)
+                      for field, v in zip(fields, values)]
+            arrays = [np.empty((min(count, size // (2 * sum(widths))), width),
+                               dtype=int if field.item == _STATE else float)
+                      for field, width in zip(fields, widths)]
+            pattern = _line_pattern(fields, widths)
+        block = [array[start:start + len(lines)] for array in arrays]
+        matches = [pattern.fullmatch(line) for line in lines]
+        if None in matches or not _column_rows(fields, block, matches):
+            for i, line in enumerate(lines):
+                line_no = start + i + 2
+                if not line:
+                    raise DatasetFormatError(path, line_no, f"file truncated: expected {count} "
+                                             f"records, found {line_no - 2}")
+                record = _parse_json_line(path, line_no, line)
+                for field, rows, width in zip(fields, block, widths):
+                    rows[i] = _checked_list(path, line_no, field, record.get(field.key), width)
+    for line_no, line in enumerate(f, count + 2):
+        if line.strip():
+            raise DatasetFormatError(path, line_no, f"the header counts {count} records, but more follow")
+    return arrays
 
 
 def load_scatter(path) -> ScatterDataset:
     """Load a measurement dataset; validates shapes and the header contract."""
     with open(path, "r", encoding="utf-8") as f:
         header = _read_header(path, f, SCATTER_FORMAT)
-        columns = _read_records(path, f, header["count"], {
-            "profile": (_STATE, header.get("column_count")), "raw": (_NUMBER, None)})
-    cols = _header_field(path, header, "column_count")
-    i_max = float(_header_field(path, header, "i_max"))
-    seed = _header_field(path, header, "seed")
-    digest = _header_field(path, header, "scene_digest")
-    profiles, raw = columns["profile"], columns["raw"]
-    if isinstance(raw, list):  # parsed line by line: check every record
-        profiles = _profile_rows(path, profiles, cols)
-        raw = _number_rows(path, raw, "raw intensities")
-    return ScatterDataset(profiles=profiles, raw=raw, i_max=i_max, seed=seed, scene_digest=digest)
+        cols, i_max, seed, digest = (_header_field(path, header, key)
+                                     for key in ("column_count", "i_max", "seed", "scene_digest"))
+        profiles, raw = _read_records(path, f, header["count"], [
+            _Field("profile", _STATE, cols), _Field("raw", _NUMBER, None, "raw intensities")])
+    return ScatterDataset(profiles=profiles, raw=raw, i_max=float(i_max), seed=seed,
+                          scene_digest=digest)
 
 
 def _target_blocks(ds: TargetDataset):
@@ -558,16 +548,11 @@ def save_targets(ds: TargetDataset, path) -> None:
 def load_targets(path) -> TargetDataset:
     with open(path, "r", encoding="utf-8") as f:
         header = _read_header(path, f, TARGET_FORMAT)
-        targets = _read_records(path, f, header["count"], {"target": (_NUMBER, None)})["target"]
-    if isinstance(targets, list):
-        targets = _number_rows(path, targets, "target")
-    low = float(_header_field(path, header, "low"))
-    high = float(_header_field(path, header, "high"))
-    seed = _header_field(path, header, "seed")
-    if not low < high:
-        raise DatasetFormatError(path, 1, f"header low must be < high, got {low!r} and {high!r}")
-    outside = ((targets < low - _TARGET_SLACK) | (targets > high + _TARGET_SLACK)).any(axis=1)
-    if outside.any():
-        raise DatasetFormatError(path, int(outside.argmax()) + 2,
-                                 f"target components must lie in [{low!r}, {high!r}]")
+        low = float(_header_field(path, header, "low"))
+        high = float(_header_field(path, header, "high"))
+        seed = _header_field(path, header, "seed")
+        if not low < high:
+            raise DatasetFormatError(path, 1, f"header low must be < high, got {low!r} and {high!r}")
+        [targets] = _read_records(path, f, header["count"],
+                                  [_Field("target", _NUMBER, None, "target", low, high)])
     return TargetDataset(targets=targets, low=low, high=high, seed=seed)

@@ -3,7 +3,9 @@
 import contextlib
 import hashlib
 import json
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -273,8 +275,8 @@ def test_column_and_json_paths_load_the_same_dataset(tmp_path, monkeypatch, make
     save_scatter(ds, path)
     compact = _compact(path, tmp_path / "compact.jsonl")
     json_loaded = load_scatter(compact)
-    with monkeypatch.context() as m:  # the writer's own file never reaches the JSON path
-        m.setattr(dataio, "_json_columns", None)
+    with monkeypatch.context() as m:  # the writer's own file never goes line by line
+        m.setattr(dataio, "_checked_list", None)
         column_loaded = load_scatter(path)
     for loaded in (column_loaded, json_loaded):
         assert loaded.raw.tobytes() == ds.raw.tobytes()
@@ -287,8 +289,27 @@ def test_target_column_and_json_paths_agree(tmp_path, monkeypatch):
     path = tmp_path / "targets.jsonl"
     save_targets(ds, path)
     json_loaded = load_targets(_compact(path, tmp_path / "compact.jsonl"))
-    monkeypatch.setattr(dataio, "_json_columns", None)
+    monkeypatch.setattr(dataio, "_checked_list", None)
     assert load_targets(path).targets.tobytes() == json_loaded.targets.tobytes() == ds.targets.tobytes()
+
+
+def test_only_the_block_not_in_the_writers_form_goes_line_by_line(tmp_path, monkeypatch):
+    ds = _fake_scatter(250)
+    ds.raw[149] = [2.0, 1.0, 3.0]
+    path = tmp_path / "data.jsonl"
+    save_scatter(ds, path)
+    _edited(path, 150, _set("raw", [2, 1, 3]))  # integers: valid JSON, not the writer's form
+    checked, check = [], dataio._checked_list
+
+    def counted(path, line_no, *rest):
+        checked.append(line_no)
+        return check(path, line_no, *rest)
+
+    monkeypatch.setattr(dataio, "_checked_list", counted)
+    loaded = load_scatter(path)
+    assert loaded.raw.tobytes() == ds.raw.tobytes()
+    assert loaded.profiles.tobytes() == ds.profiles.tobytes()
+    assert sorted(set(checked)) == list(range(102, 202))  # the second block of 100 records
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -517,6 +538,41 @@ def test_loader_names_the_first_offending_record(tmp_path, small_dataset):
     assert exc.value.line == 7
 
 
+def _broken(line_index):
+    """An edit of a whole file: one line that is not JSON."""
+    def edit(path):
+        lines = path.read_text().splitlines()
+        lines[line_index] = "{broken"
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _record_edit(line_index, edit):
+    return lambda path: _edited(path, line_index, edit)
+
+
+# two faults in one 6-record file: (the edits that make them, the line of the earlier one)
+TWO_FAULTS = {
+    "bad-raw-then-state-8": ([_record_edit(2, _set("raw", [0.1, None, 0.3])),
+                              _record_edit(4, lambda doc: doc["profile"].__setitem__(19, 8))], 3),
+    "bad-raw-then-invalid-json": ([_record_edit(2, _set("raw", [0.1, None, 0.3])), _broken(4)], 3),
+    # a valid header, but line 2 holds 20 states, not 19
+    "column_count-19-then-invalid-json": ([_record_edit(0, _set("column_count", 19)), _broken(2)], 2),
+}
+
+
+@pytest.mark.parametrize("case", TWO_FAULTS)
+def test_the_earlier_of_two_faults_is_named(tmp_path, case):
+    path = tmp_path / "data.jsonl"
+    save_scatter(_fake_scatter(6), path)
+    edits, line = TWO_FAULTS[case]
+    for edit in edits:
+        edit(path)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_scatter(path)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("text", ["1E5", "1.50", "2.5e-3", "-0.0", "2", " 1.0", "1e-400"])
 def test_raw_number_texts_that_json_reads_load_with_its_value(tmp_path, text):
     path = tmp_path / "data.jsonl"
@@ -542,6 +598,68 @@ def test_header_count_beyond_the_file_is_a_truncation(tmp_path, small_dataset):
     with pytest.raises(DatasetFormatError, match="truncated") as exc:
         load_scatter(path)
     assert exc.value.line == len(small_dataset) + 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("count", [None, 10**12], ids=["as-saved", "count-beyond-the-file"])
+def test_dataset_loads_from_a_named_pipe(tmp_path, count):
+    ds = collect(default_scene(with_obstacle=True), count=250, seed=6)
+    path, fifo = tmp_path / "data.jsonl", tmp_path / "pipe"
+    save_scatter(ds, path)
+    if count is not None:
+        _edited(path, 0, _set("count", count))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        if count is None:
+            loaded, saved = load_scatter(fifo), load_scatter(path)
+            assert loaded.raw.tobytes() == saved.raw.tobytes() == ds.raw.tobytes()
+            assert loaded.profiles.tobytes() == saved.profiles.tobytes() == ds.profiles.tobytes()
+        else:
+            with pytest.raises(DatasetFormatError, match="truncated") as exc:
+                load_scatter(fifo)
+            assert exc.value.line == len(ds) + 2
+    finally:
+        writer.join(timeout=10)
+
+
+def _appended(text):
+    return lambda path: path.write_text(path.read_text() + text)
+
+
+def _records_again(first, last):
+    """Lines ``first`` to ``last`` appended once more to the end of the file."""
+    def edit(path):
+        text = path.read_text()
+        path.write_text(text + "".join(text.splitlines(keepends=True)[first:last + 1]))
+    return edit
+
+
+# lines after the header's count of records: (saved dataset, edit, line named or None to load)
+TRAILING_LINES = {
+    "two-scatter-records": (lambda: _fake_scatter(6), _records_again(1, 2), 8),
+    "garbage": (lambda: _fake_scatter(6), _appended("garbage\n"), 8),
+    "five-target-records": (lambda: generate_targets(5, seed=8), _records_again(1, 5), 7),
+    "blank-lines": (lambda: _fake_scatter(6), _appended("\n  \n\t\n"), None),
+    "blank-lines-after-targets": (lambda: generate_targets(5, seed=8), _appended("\n\n"), None),
+}
+
+
+@pytest.mark.parametrize("case", TRAILING_LINES)
+def test_lines_after_the_last_record(tmp_path, case):
+    make, edit, line = TRAILING_LINES[case]
+    ds = make()
+    save, load = (save_targets, load_targets) if isinstance(ds, TargetDataset) else (save_scatter, load_scatter)
+    path = tmp_path / "data.jsonl"
+    save(ds, path)
+    edit(path)
+    if line is None:
+        assert load(path).digest() == ds.digest()
+    else:
+        with pytest.raises(DatasetFormatError, match="more follow") as exc:
+            load(path)
+        assert exc.value.line == line
 
 
 def test_integer_raw_values_in_range_load(tmp_path, small_dataset):
