@@ -17,9 +17,10 @@ the first batch (a smaller batch uses their leading rows), and both passes
 write into it: a step allocates no batch-sized array after the first, and its
 results are views that the next pass with that scratch overwrites. The
 scratch is the record of the forward pass: ``backward`` reads each layer's
-input and pre-activation from the buffers ``forward`` just filled, instead of
-recomputing the pass. ``adam_step`` updates the parameters and its moments in
-place.
+input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
+``forward`` just filled, and turns the latter into the ELU derivative
+``exp(min(z, 0))`` in place, so nothing of the pass is recomputed.
+``adam_step`` updates the parameters and its moments in place.
 """
 
 from __future__ import annotations
@@ -89,20 +90,15 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
     return Mlp(layer_dims=dims, params=np.concatenate(parts))
 
 
-# branch-free: a select mispredicts on mixed signs; same values, but -0.0 -> +0.0
-def elu(x, out=None, work=None):
-    """ELU of ``x``; ``out`` takes the result and ``work`` the positive part, when given."""
+# branch-free: a select mispredicts on mixed signs; same values, but -0.0 -> +0.0.
+# forward and backward run these same operations in their scratch buffers.
+def elu(x):
     x = np.asarray(x, dtype=float)
-    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    np.expm1(out, out=out)
-    out += np.maximum(x, 0.0, out=work)
-    return out
+    return np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
 
 
-def elu_grad(x, out=None):
-    x = np.asarray(x, dtype=float)
-    out = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    return np.exp(out, out=out)
+def elu_grad(x):
+    return np.exp(np.minimum(np.asarray(x, dtype=float), 0.0))
 
 
 def scratch_buffer(scratch: Optional[dict], key, shape) -> np.ndarray:
@@ -118,9 +114,9 @@ def scratch_buffer(scratch: Optional[dict], key, shape) -> np.ndarray:
 def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     """Forward pass; accepts a single input vector or a (batch, dim) array.
 
-    With a ``scratch`` the output is a view of its buffers, which keep each
-    layer's pre-activation ``("z", i)`` and hidden output ``("h", i)`` for
-    ``backward``.
+    With a ``scratch`` the output is a view of its buffers, which keep, for
+    ``backward``, each hidden layer's output ``("h", i)`` and ``min(z, 0)`` of
+    its pre-activation ``z`` in ``("z", i)``.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -131,10 +127,17 @@ def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w))))
         z += b
-        # the positive part goes where backward later writes this layer's upstream
-        h = z if i == last else elu(z, out=scratch_buffer(scratch, ("h", i), z.shape),
-                                    work=scratch_buffer(scratch, ("up", i), z.shape))
-    return h[0] if squeeze else h
+        if i < last:
+            # elu's operations, with min(z, 0) left in z for backward's derivative; the
+            # positive part goes where backward later writes this layer's upstream.
+            # Without a scratch it is made after h and freed with its layer: in that
+            # order a fresh process's peak RSS is lowest.
+            h = scratch_buffer(scratch, ("h", i), z.shape)
+            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape))
+            np.expm1(np.minimum(z, 0.0, out=z), out=h)
+            h += pos
+            del pos
+    return z[0] if squeeze else z
 
 
 def mse(a, b) -> float:
@@ -171,8 +174,8 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
 
     ``scratch`` is the one ``forward(mlp, x, scratch)`` just filled; without
     it the pass is run here, into a fresh one. The gradients are views of its
-    buffers, and its pre-activations are overwritten by their ELU
-    derivatives: a forward pass is read once.
+    buffers, and each ``("z", i)`` buffer, ``min(z, 0)``, is overwritten by
+    its exp, the ELU derivative: a forward pass is read once.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -195,8 +198,8 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
         upstream = np.matmul(delta, mlp.weights[i],
                              out=scratch_buffer(scratch, ("up", i - 1), (n, mlp.layer_dims[i])))
         if i > 0:
-            z = scratch[("z", i - 1)][:n]
-            delta = np.multiply(upstream, elu_grad(z, out=z), out=upstream)
+            neg = scratch[("z", i - 1)][:n]  # min(z, 0); its exp is the ELU derivative
+            delta = np.multiply(upstream, np.exp(neg, out=neg), out=upstream)
     return Gradients(params=grad, inputs=upstream[0] if squeeze else upstream)
 
 
@@ -409,8 +412,7 @@ def save_model(mlp: Mlp, path, provenance: Optional[dict] = None) -> None:
     doc = {"format_version": MODEL_FORMAT_VERSION, **mlp_to_dict(mlp)}
     doc["provenance"] = provenance or {}
     with atomic_write(path) as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")  # one C-encoder pass; json.dump streams through Python
 
 
 def load_model(path) -> Tuple[Mlp, dict]:

@@ -24,7 +24,9 @@ Both exps are scaled by e^{-max|a|}, which keeps tau = 0.1 deg finite. The
 sums run on real arrays in a fixed order, never as a matrix product: the
 quantizer makes no BLAS call, so its bits do not depend on the BLAS threads.
 The grid itself is ``scene.STATE_COUNT`` states of ``scene.STATE_STEP_DEG``;
-this module only reads it.
+this module only reads it. Both wraps to [0, 360), of the inverse network's
+output and of the soft angle, go through ``wrap_degrees``: ``np.mod(x, 360)``
+bit for bit, in whole-array operations instead of numpy's scalar fmod loop.
 
 A straight-through estimator (hard forward pass, identity gradient) would be
 the usual alternative; it is deliberately not implemented here because the
@@ -45,6 +47,8 @@ from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
 # cos and sin of the first half of the state phases; each state pairs with its antipode
 _PAIR_PHASES = np.radians(state_phases_deg(np.arange(STATE_COUNT // 2)))
 _PAIR_COS, _PAIR_SIN = np.cos(_PAIR_PHASES).tolist(), np.sin(_PAIR_PHASES).tolist()
+# below this magnitude 360 floor(x / 360) is an exact float64, so wrap_degrees is exact
+_EXACT_WRAP_LIMIT = 2.0 ** 40
 
 
 @dataclass(frozen=True)
@@ -106,9 +110,10 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
         down = np.exp(np.subtract(neg_m, x, out=x), out=x)
         sinh.append(np.subtract(up, down, out=next(buffers)))
         cosh_b.append(np.multiply(np.add(down, up, out=down), y, out=down))
-    # what the cos/sin, m and b arrays held is spent: they take the sums and results
+    # what the cos/sin, m and b arrays held is spent: they take the sums and results,
+    # and the first sinh, spent once zr and zi are summed, takes the angle before its wrap
     zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
-    out = np.remainder(np.degrees(np.arctan2(zi, zr, out=neg_m), out=neg_m), 360.0, out=neg_m)
+    out = wrap_degrees(np.degrees(np.arctan2(zi, zr, out=sinh[0]), out=sinh[0]), out=neg_m)
     # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
     grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, b[0], tmp), out=b[0])
     grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, b[1], tmp), out=b[1])
@@ -126,10 +131,30 @@ def _pair_sum(terms, coefs, out, tmp):
     return out
 
 
+def wrap_degrees(x, out=None):
+    """``np.mod(x, 360.0)`` bit for bit, into ``out`` when given.
+
+    numpy's float remainder runs a scalar fmod loop; this is a few whole-array
+    operations. With k = floor(x / 360), x - 360 k is numpy's once-rounded
+    result: the product is exact below 2**40, and the difference is either
+    exact or the same single rounding numpy makes. Only where x / 360 rounded
+    up onto an integer is it negative, and there 360 is added. 0-d, empty and
+    non-finite input, |x| >= 2**40, and an ``out`` that overlaps ``x`` (k
+    would overwrite x before it is read) go through ``np.mod`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if (x.ndim == 0 or x.size == 0 or (out is not None and np.may_share_memory(x, out))
+            or not -_EXACT_WRAP_LIMIT < x.min() <= x.max() < _EXACT_WRAP_LIMIT):
+        return np.mod(x, 360.0, out=out)
+    k = np.floor(np.divide(x, 360.0, out=out), out=out)
+    r = np.add(np.multiply(k, -360.0, out=k), x, out=k)
+    return np.add(r, 360.0, out=r, where=r < 0.0)
+
+
 def ide_output_to_angles(raw):
     """Interpret raw network outputs directly as degrees, wrapped to [0, 360).
 
     The wrap is the identity plus a constant almost everywhere, so its
     gradient is 1 wherever it is defined.
     """
-    return np.mod(np.asarray(raw, dtype=float), 360.0)
+    return wrap_degrees(raw)

@@ -105,18 +105,39 @@ def test_tandem_gradients_match_finite_differences():
         assert abs(fd - analytic[idx]) / denom < 1e-4
 
 
+def _plain_layers(mlp, h):
+    """Output, layer inputs and pre-activations of ``mlp`` as plain expressions with fresh arrays."""
+    inputs, pre = [], []
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(h)
+        pre.append(h @ w.T + b)
+        h = neural.elu(pre[-1]) if i < len(mlp.weights) - 1 else pre[-1]
+    return h, inputs, pre
+
+
+def _plain_gradients(mlp, inputs, pre, delta):
+    """Flat parameter gradient and input gradient of ``mlp`` for the output gradient ``delta``."""
+    parts = []
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        parts = [(delta.T @ inputs[i]).ravel(), delta.sum(axis=0)] + parts
+        delta = delta @ mlp.weights[i]
+        if i > 0:
+            delta = delta * neural.elu_grad(pre[i - 1])
+    return np.concatenate(parts), delta
+
+
 def _reference_tandem(ide, fse, qcfg, x, y):
-    """The tandem step composed from public pieces: scratch-less backward, sin/cos encode backward."""
-    raw = neural.forward(ide, x)
-    soft, soft_grad = quantize_soft_with_grad(ide_output_to_angles(raw), qcfg)
-    encoded = encode_phases(soft)
-    pred = neural.forward(fse, encoded)
-    g_encoded = neural.backward(fse, encoded, neural.mse_grad(pred, y)).inputs
+    """The tandem step as plain numpy expressions around the soft quantizer: the bit reference."""
+    raw, ide_inputs, ide_pre = _plain_layers(ide, x)
+    soft, soft_grad = quantize_soft_with_grad(np.mod(raw, 360.0), qcfg)
     rad = np.radians(soft)
+    encoded = np.stack([np.cos(rad), np.sin(rad)], axis=-1).reshape(len(x), -1)
+    pred, fse_inputs, fse_pre = _plain_layers(fse, encoded)
+    _, g_encoded = _plain_gradients(fse, fse_inputs, fse_pre, 2.0 * (pred - y) / pred.size)
     g_soft = (-np.sin(rad) * g_encoded[..., 0::2] + np.cos(rad) * g_encoded[..., 1::2])
     g_soft = g_soft * (np.pi / 180.0)
-    g_ide = neural.backward(ide, x, g_soft * soft_grad)
-    return neural.mse(pred, y), g_ide.params
+    g_ide, _ = _plain_gradients(ide, ide_inputs, ide_pre, g_soft * soft_grad)
+    return float(np.mean((pred - y) ** 2)), g_ide
 
 
 @pytest.mark.parametrize("rows,tau", [(256, 10.0), (1, 10.0), (37, 0.3)])

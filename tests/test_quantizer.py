@@ -1,9 +1,12 @@
 """Hard and soft quantizer behavior, including the declared tie rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rispa.quantizer import (
     QuantizerConfig,
@@ -11,6 +14,7 @@ from rispa.quantizer import (
     quantize_hard,
     quantize_soft,
     quantize_soft_with_grad,
+    wrap_degrees,
 )
 from rispa.scene import STATE_COUNT, state_phases_deg
 
@@ -216,6 +220,73 @@ def test_hard_soft_consistency_at_tau_1():
 @pytest.mark.parametrize("raw,expected", [(0.0, 0.0), (405.0, 45.0), (-45.0, 315.0)])
 def test_ide_output_wraps_cyclically(raw, expected):
     assert ide_output_to_angles(raw) == pytest.approx(expected)
+
+
+def _assert_wrap_is_np_mod(x):
+    x = np.asarray(x, dtype=float)
+    assert wrap_degrees(x).tobytes() == np.mod(x, 360.0).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64)
+       | st.lists(st.integers(0, 2 ** 64 - 1).map(lambda u: float(np.uint64(u).view(np.float64)))
+                  .filter(math.isfinite), min_size=1, max_size=64))
+def test_wrap_is_np_mod_on_any_finite_float(values):
+    x = np.array(values)
+    _assert_wrap_is_np_mod(x)
+    _assert_wrap_is_np_mod(x[np.abs(x) < 2.0 ** 40])  # the vectorized path, not the fallback
+    _assert_wrap_is_np_mod(-x)
+    _assert_wrap_is_np_mod([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, np.finfo(float).max])
+
+
+def test_wrap_is_np_mod_next_to_every_multiple_of_360():
+    # a neighbour of 360 k is where x / 360 can round onto the integer k
+    multiples = np.arange(-10 ** 6, 10 ** 6 + 1) * 360.0
+    _assert_wrap_is_np_mod(multiples)
+    for direction in (np.inf, -np.inf):
+        _assert_wrap_is_np_mod(np.nextafter(multiples, direction))
+        _assert_wrap_is_np_mod(np.nextafter(np.nextafter(multiples, direction), direction))
+    edge = 2.0 ** 40
+    _assert_wrap_is_np_mod([np.nextafter(edge, 0.0), edge, -np.nextafter(edge, 0.0), -edge, 1e-300, -1e-300])
+    # one binade at a time, so that a cutoff set too high would send some through the fast path
+    for exponent in range(30, 64):
+        binade = np.exp2(np.linspace(exponent, exponent + 1, 3001)[:-1]) + 0.5
+        _assert_wrap_is_np_mod(binade)
+        _assert_wrap_is_np_mod(-binade)
+
+
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_wrap_of_non_finite_warns_as_np_mod(special):
+    x = np.array([special, 1.0, -1.0, 725.0])
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        out = wrap_degrees(x)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        ref = np.mod(x, 360.0)
+    assert out.tobytes() == ref.tobytes()
+    assert [(w.category, str(w.message)) for w in got] == [(w.category, str(w.message)) for w in want]
+
+
+def test_wrap_of_0d_empty_and_into_out():
+    for scalar in (-45.0, 405.0, -0.0, np.nextafter(-720.0, 0.0)):
+        got, want = wrap_degrees(scalar), np.mod(scalar, 360.0)
+        assert np.shape(got) == () and got.tobytes() == want.tobytes()
+    assert wrap_degrees(np.empty((0, 20))).shape == (0, 20)
+    x = np.random.default_rng(7).uniform(-1e6, 1e6, size=(256, 20))
+    x[0, :3] = (-0.0, 360.0, -360.0)
+    out = np.full_like(x, np.nan)
+    assert wrap_degrees(x, out=out) is out
+    assert out.tobytes() == np.mod(x, 360.0).tobytes()
+    strided = out[:, :7]
+    assert wrap_degrees(x[:, ::3], out=strided) is strided
+    assert strided.tobytes() == np.mod(x[:, ::3], 360.0).tobytes()
+    want = np.mod(x, 360.0)
+    assert wrap_degrees(x, out=x) is x  # in place, as np.mod allows
+    assert x.tobytes() == want.tobytes()
+    y = np.random.default_rng(8).uniform(-1e6, 1e6, size=(256, 21))
+    want = np.mod(y[:, :20], 360.0)
+    assert wrap_degrees(y[:, :20], out=y[:, 1:]).tobytes() == want.tobytes()  # shifted overlap
 
 
 def test_quantizer_config_validation():
