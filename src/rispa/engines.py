@@ -93,20 +93,26 @@ def encode_phases(angles_deg, scratch: Optional[dict] = None) -> np.ndarray:
     """
     rad = np.radians(np.asarray(angles_deg, dtype=float))
     out = neural.scratch_buffer(scratch, "x", rad.shape[:-1] + (2 * rad.shape[-1],))
-    out[..., 0::2] = np.cos(rad)
-    out[..., 1::2] = np.sin(rad)
+    np.cos(rad, out=out[..., 0::2])
+    np.sin(rad, out=out[..., 1::2])
     return out
 
 
-def _encode_backward(encoded: np.ndarray, grad_encoded: np.ndarray) -> np.ndarray:
-    """Pull gradients from the cos/sin features back to angles in degrees.
+def _encode_backward(encoded: np.ndarray, grad_encoded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pull gradients from the cos/sin features back to angles in degrees, into ``out``.
 
     ``encoded`` is the ``encode_phases`` output, whose cos/sin columns are
-    exactly the derivative factors, so nothing is recomputed.
+    exactly the derivative factors, so nothing is recomputed. The products
+    are made in ``grad_encoded``, which is spent; cos g_sin - sin g_cos has
+    the bits of -sin g_cos + cos g_sin, since IEEE negation and commuted
+    products and sums are exact.
     """
-    cos, sin = encoded[..., 0::2], encoded[..., 1::2]
-    g = -sin * grad_encoded[..., 0::2] + cos * grad_encoded[..., 1::2]
-    return g * (np.pi / 180.0)
+    g_cos, g_sin = grad_encoded[..., 0::2], grad_encoded[..., 1::2]
+    g_cos *= encoded[..., 1::2]
+    g_sin *= encoded[..., 0::2]
+    g = np.subtract(g_sin, g_cos, out=out)
+    g *= np.pi / 180.0
+    return g
 
 
 def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
@@ -194,7 +200,9 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     Each network runs forward once, into its scratch, and its backward reads
     that scratch. Only the inverse network's parameter gradients are
     produced; the surrogate contributes its input gradient and is never
-    updated. Without scratches the step uses fresh ones.
+    updated. Without scratches the step uses fresh ones. The backward half
+    writes into buffers the forward half has spent: the input gradient of
+    the surrogate, the soft angles and their derivative.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch
@@ -205,13 +213,12 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
     encoded = encode_phases(soft, fse_scratch)
     pred = neural.forward(fse_mlp, encoded, fse_scratch)
-    loss = neural.mse(pred, y)
+    loss, g_pred = neural.mse_and_grad(pred, y, fse_scratch)
 
-    g_pred = neural.mse_grad(pred, y)
-    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_scratch, inputs_only=True).inputs
-    g_soft = _encode_backward(encoded, g_encoded)
-    g_raw = g_soft * soft_grad  # wrap to degrees has unit gradient
-    return loss, neural.backward(ide_mlp, x, g_raw, ide_scratch).params
+    g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_scratch, wrt="inputs").inputs
+    g_soft = _encode_backward(encoded, g_encoded, out=soft)
+    g_raw = np.multiply(g_soft, soft_grad, out=soft_grad)  # wrap to degrees has unit gradient
+    return loss, neural.backward(ide_mlp, x, g_raw, ide_scratch, wrt="params").params
 
 
 def train_ide(

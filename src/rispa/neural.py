@@ -7,10 +7,11 @@ views of it, and ``backward`` returns the parameter gradient in the same flat
 layout, so Adam, the finite check, snapshots and the digest each act on one
 array. Reverse-mode gradients are exact and also returned with respect
 to the input vector, which is what lets an inverse network train through a
-frozen forward surrogate. ``backward(..., inputs_only=True)`` skips the
-parameter gradients of a frozen network. Everything is float64 and seeded;
-the training loop is single-threaded so fixed seeds give bit-identical
-histories.
+frozen forward surrogate. ``backward(..., wrt=...)`` computes both, only the
+parameter gradient of a trained network (``"params"``, which skips the
+layer-0 input product) or only the input gradient of a frozen one
+(``"inputs"``). Everything is float64 and seeded; the training loop is
+single-threaded so fixed seeds give bit-identical histories.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes
@@ -19,7 +20,11 @@ results are views that the next pass with that scratch overwrites. The
 scratch is the record of the forward pass: ``backward`` reads each layer's
 input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
 ``forward`` just filled, and turns the latter into the ELU derivative
-``exp(min(z, 0))`` in place, so nothing of the pass is recomputed.
+``exp(min(z, 0))`` in place, so nothing of the pass is recomputed. The
+parameter gradient is the scratch's ``"grad"`` buffer, and its per-layer
+weight and bias views are made with it, once, under ``("gw", i)`` and
+``("gb", i)``. A training step takes its loss and the loss gradient from one
+difference ``pred - y`` in the scratch's ``"d"`` buffer (``mse_and_grad``).
 ``adam_step`` updates the parameters and its moments in place.
 """
 
@@ -41,7 +46,7 @@ ADAM_EPSILON = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite; carries partial history."""
+    """Raised on a non-finite loss or gradient, or a run that moves nothing; carries partial history."""
 
     def __init__(self, message, train_losses=None, val_losses=None):
         super().__init__(message)
@@ -140,43 +145,67 @@ def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     return z[0] if squeeze else z
 
 
+def mse_and_grad(pred, y, scratch: Optional[dict] = None) -> Tuple[float, np.ndarray]:
+    """Mean squared error of ``pred`` against ``y``, and its gradient with respect to ``pred``.
+
+    Both come from one difference ``d = pred - y``, in the scratch's ``"d"``
+    buffer when one is given: the loss is ``np.mean``'s sum of ``d * d`` over
+    ``d.size``, and ``d`` then becomes the gradient ``(2 d) / d.size`` in
+    place. These are the bits of ``np.mean((pred - y) ** 2)`` and
+    ``2 (pred - y) / pred.size``.
+    """
+    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
+    if pred.shape != y.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {y.shape}")
+    d = np.subtract(pred, y, out=scratch_buffer(scratch, "d", pred.shape))
+    loss = float(np.add.reduce(d * d, axis=None)) / d.size
+    d *= 2.0
+    d /= d.size
+    return loss, d
+
+
 def mse(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    return mse_and_grad(a, b)[0]
 
 
 def mse_grad(a, b) -> np.ndarray:
     """Gradient of mse(a, b) with respect to a: 2 (a - b) / a.size."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return 2.0 * (a - b) / a.size
+    return mse_and_grad(a, b)[1]
 
 
 @dataclass
 class Gradients:
-    params: Optional[np.ndarray]  # same layout as Mlp.params; None when inputs_only
-    inputs: np.ndarray
+    params: Optional[np.ndarray]  # same layout as Mlp.params; None when wrt="inputs"
+    inputs: Optional[np.ndarray]  # None when wrt="params"
+
+
+def _param_grad(mlp: Mlp, scratch: dict) -> np.ndarray:
+    """The scratch's flat gradient buffer; its per-layer views are made with it, once."""
+    grad = scratch.get("grad")
+    if grad is None or grad.shape != mlp.params.shape:
+        grad = scratch["grad"] = np.empty_like(mlp.params)
+        for i, views in enumerate(zip(*_layer_views(grad, mlp.layer_dims))):
+            scratch[("gw", i)], scratch[("gb", i)] = views
+    return grad
 
 
 def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
-             inputs_only: bool = False) -> Gradients:
+             wrt: str = "both") -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
     output). Returns the parameter gradient as one flat vector laid out like
     ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
-    over the batch. ``inputs_only`` leaves the parameter gradient as None.
+    over the batch. ``wrt="params"`` stops before the layer-0 input product
+    and leaves ``inputs`` as None; ``wrt="inputs"`` leaves ``params`` as None.
 
     ``scratch`` is the one ``forward(mlp, x, scratch)`` just filled; without
     it the pass is run here, into a fresh one. The gradients are views of its
     buffers, and each ``("z", i)`` buffer, ``min(z, 0)``, is overwritten by
     its exp, the ELU derivative: a forward pass is read once.
     """
+    if wrt not in ("both", "params", "inputs"):
+        raise ValueError(f"wrt must be 'both', 'params' or 'inputs', not {wrt!r}")
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if scratch is None:
@@ -188,19 +217,21 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     if g.shape != (n, mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    grad = None if inputs_only else scratch_buffer(scratch, "grad", mlp.params.shape)
-    gw, gb = _layer_views(grad, mlp.layer_dims) if grad is not None else (None, None)
+    grad = None if wrt == "inputs" else _param_grad(mlp, scratch)
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
-            np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=gw[i])
-            delta.sum(axis=0, out=gb[i])
+            np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=scratch[("gw", i)])
+            delta.sum(axis=0, out=scratch[("gb", i)])
+        if i == 0 and wrt == "params":
+            break
         upstream = np.matmul(delta, mlp.weights[i],
                              out=scratch_buffer(scratch, ("up", i - 1), (n, mlp.layer_dims[i])))
         if i > 0:
             neg = scratch[("z", i - 1)][:n]  # min(z, 0); its exp is the ELU derivative
             delta = np.multiply(upstream, np.exp(neg, out=neg), out=upstream)
-    return Gradients(params=grad, inputs=upstream[0] if squeeze else upstream)
+    inputs = None if wrt == "params" else upstream[0] if squeeze else upstream
+    return Gradients(params=grad, inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +306,8 @@ class TrainReport:
 
 def _supervised_loss_and_grads(mlp: Mlp, x, y, scratch: Optional[dict] = None):
     scratch = {} if scratch is None else scratch
-    pred = forward(mlp, x, scratch)
-    loss = mse(pred, y)
-    return loss, backward(mlp, x, mse_grad(pred, y), scratch).params
+    loss, g_pred = mse_and_grad(forward(mlp, x, scratch), y, scratch)
+    return loss, backward(mlp, x, g_pred, scratch, wrt="params").params
 
 
 # overflow and invalid values are caught by the explicit isfinite checks
@@ -304,7 +334,11 @@ def train(
     with its flat parameter gradient.
 
     Shuffling is seeded; batches run in a fixed order, so the loss histories
-    are reproducible bit for bit.
+    are reproducible bit for bit. Each batch is gathered into two buffers made
+    once per run, so ``loss_and_grads_fn`` gets views that the next batch
+    overwrites. A run of at least one epoch that returns the initial
+    parameters unchanged (every gradient zero, e.g. a frozen quantizer)
+    raises ``TrainingDiverged``.
     """
     loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
@@ -328,12 +362,18 @@ def train(
     best_params = model.params.copy()
     best_epoch = -1
 
+    rows = min(batch_size, n)
+    x_batch = np.empty((rows, *x_train.shape[1:]))
+    y_batch = np.empty((rows, *y_train.shape[1:]))
     for epoch in range(epochs):
         perm = rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
-            loss, grads = loss_and_grads_fn(model, x=x_train[idx], y=y_train[idx])
+            # mode="clip" lets take write straight into out; "raise" would buffer it
+            x = np.take(x_train, idx, axis=0, out=x_batch[:len(idx)], mode="clip")
+            y = np.take(y_train, idx, axis=0, out=y_batch[:len(idx)], mode="clip")
+            loss, grads = loss_and_grads_fn(model, x=x, y=y)
             try:
                 if not np.isfinite(loss):
                     raise TrainingDiverged("diverged: non-finite loss")
@@ -353,6 +393,9 @@ def train(
 
     if best_epoch >= 0:
         model.params[...] = best_params
+    if epochs > 0 and np.array_equal(model.params, mlp.params):
+        raise TrainingDiverged(f"frozen: no parameter moved in {epochs} epochs (zero gradients)",
+                               train_losses, val_losses)
     return TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,

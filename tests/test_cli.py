@@ -135,6 +135,14 @@ def test_diverged_training_prints_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: diverged"), proc.stderr
 
 
+def test_frozen_inverse_training_is_runtime_error(tmp_path, capsys):
+    # at tau = 1e-300 the soft quantizer is an exact staircase: every IDE gradient is zero
+    assert run_cli(["pipeline", "--seed", "5", *TINY, "--tau", "1e-300"], tmp_path) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: frozen") and "zero gradients" in err and "\n" not in err
+    assert not (tmp_path / "ide.json").exists()
+
+
 def test_eval_with_corrupt_surrogate_file_prints_one_line(tmp_path, capsys):
     (tmp_path / "fse.json").write_text('{"format_version": 1, "weights": [], "biases": []}')
     assert run_cli(["eval", "--seed", "5", *TINY], tmp_path) == cli.EXIT_RUNTIME

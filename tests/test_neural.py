@@ -157,6 +157,19 @@ def test_mse_grad_matches_finite_differences():
         assert rel_err(g[i], fd) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (128, 3), (1, 20), (1000, 3)])
+def test_mse_and_grad_is_bit_identical_to_plain_expressions(shape):
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    scratch = {}
+    loss, grad = nn.mse_and_grad(a, b, scratch)
+    assert loss == float(np.mean((a - b) ** 2)) == nn.mse(a, b)
+    assert grad.tobytes() == (2.0 * (a - b) / a.size).tobytes() == nn.mse_grad(a, b).tobytes()
+    assert np.shares_memory(grad, scratch["d"])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        nn.mse_and_grad(a, b[..., :-1])
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -220,15 +233,24 @@ def test_backward_on_the_forward_scratch_is_bit_identical(shape):
     gout = rng.normal(size=shape[:-1] + (3,))
     reference = nn.backward(mlp, x, gout)  # runs its own forward pass
     scratch = {}
-    for inputs_only in (False, True):
+    for wrt in ("both", "params", "inputs"):
         pred = nn.forward(mlp, x, scratch)  # backward overwrote the last pass's record
         assert np.array_equal(pred, nn.forward(mlp, x))
-        got = nn.backward(mlp, x, gout, scratch, inputs_only=inputs_only)
-        assert np.array_equal(got.inputs, reference.inputs)
-        if inputs_only:
+        got = nn.backward(mlp, x, gout, scratch, wrt=wrt)
+        if wrt == "params":
+            assert got.inputs is None
+        else:
+            assert np.array_equal(got.inputs, reference.inputs)
+        if wrt == "inputs":
             assert got.params is None
         else:
-            assert np.array_equal(got.params, reference.params)
+            assert got.params.tobytes() == reference.params.tobytes()
+
+
+def test_backward_rejects_an_unknown_wrt():
+    mlp = nn.init_mlp([2, 3, 1], seed=0)
+    with pytest.raises(ValueError, match="wrt"):
+        nn.backward(mlp, np.ones(2), np.ones(1), wrt="weights")
 
 
 def _plain_loss_and_grads(mlp, x, y):
@@ -447,6 +469,48 @@ def test_train_zero_epochs_returns_initial_parameters():
                       learning_rate=1e-3, seed=5)
     assert report.train_losses == [] and report.val_losses == []
     assert np.array_equal(report.model.params, mlp.params)
+
+
+def test_train_is_bit_identical_to_a_plain_loop():
+    # the desk FSE's layout, 300 rows at batch 128: two full batches and a short one
+    rng = np.random.default_rng(51)
+    x, y = rng.uniform(-1.0, 1.0, size=(300, 40)), rng.uniform(0.0, 1.0, size=(300, 3))
+    x_val, y_val = rng.uniform(-1.0, 1.0, size=(40, 40)), rng.uniform(0.0, 1.0, size=(40, 3))
+    mlp = nn.init_mlp([40, 100, 100, 3], seed=52)
+    report = nn.train(mlp, (x, y), (x_val, y_val), epochs=3, batch_size=128,
+                      learning_rate=1e-2, seed=53)
+
+    model, order = mlp.copy(), np.random.default_rng(53)
+    state = nn.init_adam(model.params, learning_rate=1e-2)
+    train_losses, val_losses, snapshots = [], [], []
+    for _ in range(3):
+        perm, sq_sum = order.permutation(300), 0.0
+        for start in range(0, 300, 128):
+            idx = perm[start:start + 128]
+            loss, grads = _plain_loss_and_grads(model, x[idx], y[idx])
+            nn.adam_step(model.params, grads, state)
+            sq_sum += loss * len(idx)
+        train_losses.append(sq_sum / 300)
+        val_losses.append(float(np.mean((nn.forward(model, x_val) - y_val) ** 2)))
+        snapshots.append(model.params.copy())
+    assert report.train_losses == train_losses
+    assert report.val_losses == val_losses
+    assert report.best_epoch == int(np.argmin(val_losses))
+    assert report.model.params.tobytes() == snapshots[report.best_epoch].tobytes()
+
+
+def test_frozen_training_is_an_error():
+    x, y = _toy_pairs(8, seed=19)
+    mlp = nn.init_mlp([3, 4, 2], seed=20)
+
+    def frozen(model, x, y):
+        loss, grads = nn._supervised_loss_and_grads(model, x, y)
+        return loss, np.zeros_like(grads)
+
+    with pytest.raises(nn.TrainingDiverged, match="zero gradients") as exc:
+        nn.train(mlp, (x, y), (x, y), epochs=2, batch_size=4,
+                 learning_rate=1e-3, seed=21, loss_and_grads_fn=frozen)
+    assert len(exc.value.train_losses) == 2 and len(exc.value.val_losses) == 2
 
 
 def test_train_is_deterministic():

@@ -3,11 +3,14 @@
 Times, on warm scratches, what ``perfbench --trace 1`` cannot show apart:
 the wrap of the inverse network's output to degrees, one whole desk-shaped
 tandem step (batch 256: the inverse network trained through the frozen
-surrogate, with its Adam update) and one whole desk-shaped surrogate step
-(batch 128). The trace already reports the self time of the soft quantizer,
-the encoding and each network pass. Each line gives one timing in
-microseconds per call, the best of ``--repeat`` averages over ``--number``
-calls; the last line is one JSON summary of them all.
+surrogate, with its Adam update), one whole desk-shaped surrogate step
+(batch 128, as plain ``forward``, full ``backward`` and Adam calls) and one
+desk-shaped surrogate epoch of ``neural.train`` itself (1,620 rows at batch
+128, then 180 validation rows), which runs the training step as a run does.
+The trace already reports the self time of the soft quantizer, the encoding
+and each network pass. Each line gives one timing in microseconds per call,
+the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
+many for the epoch); the last line is one JSON summary of them all.
 
     python tools/step_timing.py [--number 1000] [--repeat 7]
 
@@ -35,6 +38,7 @@ from rispa.quantizer import QuantizerConfig, ide_output_to_angles  # noqa: E402
 
 TANDEM_BATCH = 256   # the desk preset's batch_ide
 FSE_BATCH = 128      # the desk preset's batch_fse
+FSE_ROWS = (1620, 180)  # the desk preset's surrogate training and validation split of 2,000
 SEED = 0             # picks the weights and inputs only
 
 
@@ -74,6 +78,17 @@ def _fse_step():
     return step
 
 
+def _fse_epoch():
+    """One ``neural.train`` epoch of the surrogate on desk-sized random data."""
+    rng = np.random.default_rng(SEED)
+    fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
+    cut = FSE_ROWS[0]
+    x = engines.profile_encoding(rng.integers(0, 8, size=(sum(FSE_ROWS), 20)))
+    y = rng.uniform(0.0, 1.0, size=(sum(FSE_ROWS), 3))
+    return lambda: neural.train(fse, (x[:cut], y[:cut]), (x[cut:], y[cut:]), epochs=1,
+                                batch_size=FSE_BATCH, learning_rate=1e-3, seed=SEED)
+
+
 def _best_us(fn, number: int, repeat: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
 
@@ -92,6 +107,8 @@ def main(argv=None) -> int:
         print(f"tandem {name:5s} {tandem[name]:10.1f} us", flush=True)
     fse_step = _best_us(_fse_step(), args.number, args.repeat)
     print(f"fse    {'step':5s} {fse_step:10.1f} us", flush=True)
+    fse_epoch = _best_us(_fse_epoch(), max(1, args.number // 10), args.repeat)
+    print(f"fse    {'epoch':5s} {fse_epoch:10.1f} us", flush=True)
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
         "fse_batch": FSE_BATCH,
@@ -99,6 +116,8 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "tandem_us": {k: round(v, 1) for k, v in tandem.items()},
         "fse_step_us": round(fse_step, 1),
+        "fse_epoch_rows": list(FSE_ROWS),
+        "fse_epoch_us": round(fse_epoch, 1),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
