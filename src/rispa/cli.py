@@ -184,6 +184,8 @@ def _check_digest(cfg: RunConfig, stored: str, what: str) -> None:
 def _format_value(value) -> str:
     if isinstance(value, list):
         return ",".join(map(_format_value, value))
+    if isinstance(value, bool):
+        return json.dumps(value)  # true or false, as manifest.json holds it
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -199,17 +201,34 @@ def _collected(cfg: RunConfig, ds: dataio.ScatterDataset) -> dict:
             "fraction_below_0.6": ds.fraction_below().tolist()}
 
 
+def _health(name: str, report) -> dict:
+    """A saved network's validation MSE, the mean predictor's, and whether it beats that.
+
+    The mean predictor always outputs the mean training target. A network
+    that does no better is still written, and the command still exits 0;
+    one INFO line names it. It is not a WARNING: short runs, such as
+    ``perfbench cli_chain``'s, are routinely unhealthy, and a WARNING stays
+    kept for a check the user overrode, such as a forced scene mismatch.
+    """
+    val, mean = float(report.best_val_loss), float(report.baseline_val_loss)
+    healthy = val < mean
+    if not healthy:
+        logger.info("unhealthy %s: validation MSE %.4g is not below %.4g, the MSE of always "
+                    "predicting the mean training target", name, val, mean)
+    return {f"{name}_val_mse": val, f"{name}_mean_predictor_mse": mean, f"{name}_healthy": healthy}
+
+
 def _fse_trained(cfg: RunConfig, fse, report, test_mse: float) -> dict:
     engines.save_fse(fse, cfg.out_dir / FSE_FILE)
     evalkit.export_history(report, cfg.out_dir / FSE_HISTORY_FILE, _provenance(cfg, cfg.scene))
-    return {"fse_val_mse": float(report.best_val_loss), "fse_test_mse": float(test_mse)}
+    return {**_health("fse", report), "fse_test_mse": float(test_mse)}
 
 
 def _ide_trained(cfg: RunConfig, targets, ide, report) -> dict:
     dataio.save_targets(targets, cfg.out_dir / TARGETS_FILE)
     engines.save_ide(ide, cfg.out_dir / IDE_FILE)
     evalkit.export_history(report, cfg.out_dir / IDE_HISTORY_FILE, _provenance(cfg, cfg.scene))
-    return {"ide_val_mse": float(report.best_val_loss)}
+    return _health("ide", report)
 
 
 def _evaluated(cfg: RunConfig, result: engines.EvalResult, gap: float) -> dict:

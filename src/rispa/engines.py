@@ -10,6 +10,13 @@ the frozen chain
 
 so only the inverse network's weights move while gradients flow through every
 stage. Deployment snaps the inverse network's angles to the hard states.
+
+Precision: both stages hand ``neural.train`` float32 training inputs, so the
+network passes of every training step run in float32 over the float64
+master weights (see ``rispa.neural``). The tandem step writes the encoding
+straight into a float32 surrogate input; the wrap, the soft quantizer, the
+targets and the loss stay float64. Validation, ``fse_predict``,
+``tandem_forward``, ``design_batch``, evaluation and model files are float64.
 """
 
 from __future__ import annotations
@@ -83,16 +90,17 @@ class IdeModel:
     seed: int = 0
 
 
-def encode_phases(angles_deg, scratch: Optional[dict] = None) -> np.ndarray:
+def encode_phases(angles_deg, scratch: Optional[dict] = None, dtype=neural.FLOAT64) -> np.ndarray:
     """Interleave [cos phi_1, sin phi_1, ..., cos phi_N, sin phi_N].
 
     Splitting the cyclic phase into its cosine and sine removes the wrap
     discontinuity from the surrogate's input space. Works on single profiles
     or (batch, N) arrays; a (batch, N) encoding can go into the buffers of
-    the surrogate's ``scratch``.
+    the surrogate's ``scratch``. cos and sin are taken in float64 and stored
+    in ``dtype``, the dtype of the surrogate pass that reads them.
     """
     rad = np.radians(np.asarray(angles_deg, dtype=float))
-    out = neural.scratch_buffer(scratch, "x", rad.shape[:-1] + (2 * rad.shape[-1],))
+    out = neural.scratch_buffer(scratch, "x", rad.shape[:-1] + (2 * rad.shape[-1],), dtype)
     np.cos(rad, out=out[..., 0::2])
     np.sin(rad, out=out[..., 1::2])
     return out
@@ -132,9 +140,9 @@ def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def profile_encoding(profiles) -> np.ndarray:
-    """Encoding of discrete state profiles (via their 45-degree phases)."""
-    return encode_phases(state_phases_deg(np.asarray(profiles)))
+def profile_encoding(profiles, dtype=neural.FLOAT64) -> np.ndarray:
+    """Encoding of discrete state profiles (via their 45-degree phases), stored in ``dtype``."""
+    return encode_phases(state_phases_deg(np.asarray(profiles)), dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +157,17 @@ def train_fse(
     batch_size: int,
     seed: int = 0,
 ) -> Tuple[FseModel, TrainReport]:
-    """Supervised regression from encoded profiles to normalized intensities."""
+    """Supervised regression from encoded profiles to normalized intensities.
+
+    The training inputs are float32, so every training step's passes run in
+    float32; targets, validation and the model stay float64.
+    """
     cols = train_set.profiles.shape[1]
     probes = train_set.raw.shape[1]
     mlp = neural.init_mlp(fse_layer_dims(cols, probes), seed=seed)
     report = neural.train(
         mlp,
-        (profile_encoding(train_set.profiles), train_set.normalized),
+        (profile_encoding(train_set.profiles, neural.FLOAT32), train_set.normalized),
         (profile_encoding(val_set.profiles), val_set.normalized),
         epochs=epochs,
         batch_size=batch_size,
@@ -203,15 +215,18 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     updated. Without scratches the step uses fresh ones. The backward half
     writes into buffers the forward half has spent: the input gradient of
     the surrogate, the soft angles and their derivative.
+
+    Both networks' passes run in the dtype of ``x`` (see ``neural.pass_input``);
+    the wrap, the soft quantizer, ``y``, the loss and its gradient are float64.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.atleast_2d(neural.pass_input(x))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     raw = neural.forward(ide_mlp, x, ide_scratch)
     angles = ide_output_to_angles(raw)
     soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
-    encoded = encode_phases(soft, fse_scratch)
+    encoded = encode_phases(soft, fse_scratch, x.dtype)
     pred = neural.forward(fse_mlp, encoded, fse_scratch)
     loss, g_pred = neural.mse_and_grad(pred, y, fse_scratch)
 
@@ -234,7 +249,8 @@ def train_ide(
     """Train the inverse network against the frozen surrogate.
 
     The surrogate's parameters are digest-checked before and after; any
-    drift is a bug, not a tolerance.
+    drift is a bug, not a tolerance. As in ``train_fse``, the training inputs
+    are float32 and validation is float64.
     """
     qcfg = qcfg or QuantizerConfig()
     probes = train_targets.targets.shape[1]
@@ -243,7 +259,7 @@ def train_ide(
     fse_digest_before = fse.digest()
     report = neural.train(
         ide_mlp,
-        (train_targets.targets, train_targets.targets),
+        (train_targets.targets.astype(neural.FLOAT32), train_targets.targets),
         (val_targets.targets, val_targets.targets),
         epochs=epochs,
         batch_size=batch_size,

@@ -10,13 +10,29 @@ to the input vector, which is what lets an inverse network train through a
 frozen forward surrogate. ``backward(..., wrt=...)`` computes both, only the
 parameter gradient of a trained network (``"params"``, which skips the
 layer-0 input product) or only the input gradient of a frozen one
-(``"inputs"``). Everything is float64 and seeded; the training loop is
-single-threaded so fixed seeds give bit-identical histories.
+(``"inputs"``). Everything is seeded; the training loop is single-threaded
+so fixed seeds give bit-identical histories.
+
+Precision: a pass computes in the dtype of its input (``pass_input``). A
+float32 input runs on float32 buffers with a float32 cast of the weights;
+any other input runs in float64, bit for bit as before float32 passes
+existed. ``engines`` hands ``train`` float32 training inputs, so the network
+passes of every training step run in float32. What is stored, compared or
+optimized stays float64: the master ``params``, Adam's moments and update
+(``adam_step`` upcasts a float32 gradient exactly), targets, losses and
+their gradient, validation, inference and model files. The master weights
+stay float64 because an Adam update far below a weight's float32 spacing
+would round away: with float32 ``params`` and moments the desk gate's
+soft/hard gap moved from 0.0489 to 0.0500, onto its bound of 0.05, where
+float32 passes over float64 weights read 0.0491.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes
-write into it: a step allocates no batch-sized array after the first, and its
-results are views that the next pass with that scratch overwrites. The
+write into it: after the first step their batch-sized arrays are its buffers
+(a float32 pass still casts the float64 loss gradient afresh), and their
+results are views that the next pass with that scratch overwrites. A float32
+pass also keeps there its cast of the weights, ``"params"`` with views
+``("w", i)`` and ``("b", i)``. The
 scratch is the record of the forward pass: ``backward`` reads each layer's
 input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
 ``forward`` just filled, and turns the latter into the ELU derivative
@@ -43,6 +59,7 @@ from .atomic import atomic_write
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+FLOAT32, FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class TrainingDiverged(RuntimeError):
@@ -106,39 +123,83 @@ def elu_grad(x):
     return np.exp(np.minimum(np.asarray(x, dtype=float), 0.0))
 
 
-def scratch_buffer(scratch: Optional[dict], key, shape) -> np.ndarray:
-    """A new array without a scratch, else the leading rows of ``scratch[key]``, remade when short."""
+def scratch_buffer(scratch: Optional[dict], key, shape, dtype=FLOAT64) -> np.ndarray:
+    """A new array without a scratch, else the leading rows of ``scratch[key]``.
+
+    The buffer is remade when it is short or of another dtype.
+    """
     if scratch is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     buf = scratch.get(key)
-    if buf is None or len(buf) < shape[0]:
-        buf = scratch[key] = np.empty(shape)
+    if buf is None or len(buf) < shape[0] or buf.dtype != dtype:
+        buf = scratch[key] = np.empty(shape, dtype)
     return buf[:shape[0]]
+
+
+def _flat_buffer(mlp: Mlp, scratch: dict, key, view_keys, dtype) -> np.ndarray:
+    """The scratch's ``dtype`` buffer ``key``, laid out like ``params``.
+
+    Its per-layer weight and bias views are made with it, once, under
+    ``(view_keys[0], i)`` and ``(view_keys[1], i)``.
+    """
+    buf = scratch.get(key)
+    if buf is None or buf.shape != mlp.params.shape or buf.dtype != dtype:
+        buf = scratch[key] = np.empty(mlp.params.shape, dtype)
+        for i, views in enumerate(zip(*_layer_views(buf, mlp.layer_dims))):
+            scratch[(view_keys[0], i)], scratch[(view_keys[1], i)] = views
+    return buf
+
+
+def _pass_weights(mlp: Mlp, dtype, scratch: Optional[dict]):
+    """The weights and biases that a pass in ``dtype`` reads.
+
+    For float64 they are the master views. Otherwise ``params`` is cast once
+    per forward pass, with a scratch into its ``"params"`` buffer, whose
+    per-layer views ``("w", i)`` and ``("b", i)`` are made with it, once; the
+    ``backward`` of that pass reads the same cast.
+    """
+    if dtype == mlp.params.dtype:
+        return mlp.weights, mlp.biases
+    if scratch is None:
+        return _layer_views(mlp.params.astype(dtype), mlp.layer_dims)
+    np.copyto(_flat_buffer(mlp, scratch, "params", ("w", "b"), dtype), mlp.params,
+              casting="same_kind")
+    layers = range(len(mlp.weights))
+    return [scratch[("w", i)] for i in layers], [scratch[("b", i)] for i in layers]
+
+
+def pass_input(x) -> np.ndarray:
+    """``x`` as the input of a network pass: float32 stays float32, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == FLOAT32 else np.asarray(x, dtype=FLOAT64)
 
 
 def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     """Forward pass; accepts a single input vector or a (batch, dim) array.
 
-    With a ``scratch`` the output is a view of its buffers, which keep, for
-    ``backward``, each hidden layer's output ``("h", i)`` and ``min(z, 0)`` of
-    its pre-activation ``z`` in ``("z", i)``.
+    The pass computes in the dtype of ``x`` as ``pass_input`` gives it, with
+    the weights cast to it (``_pass_weights``). With a ``scratch`` the output
+    is a view of its buffers, which keep, for ``backward``, each hidden
+    layer's output ``("h", i)`` and ``min(z, 0)`` of its pre-activation ``z``
+    in ``("z", i)``.
     """
-    x = np.asarray(x, dtype=float)
+    x = pass_input(x)
+    dtype = x.dtype
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
     if h.shape[1] != mlp.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
     last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w))))
+    for i, (w, b) in enumerate(zip(*_pass_weights(mlp, dtype, scratch))):
+        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w)), dtype))
         z += b
         if i < last:
             # elu's operations, with min(z, 0) left in z for backward's derivative; the
             # positive part goes where backward later writes this layer's upstream.
             # Without a scratch it is made after h and freed with its layer: in that
             # order a fresh process's peak RSS is lowest.
-            h = scratch_buffer(scratch, ("h", i), z.shape)
-            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape))
+            h = scratch_buffer(scratch, ("h", i), z.shape, dtype)
+            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape, dtype))
             np.expm1(np.minimum(z, 0.0, out=z), out=h)
             h += pos
             del pos
@@ -179,22 +240,13 @@ class Gradients:
     inputs: Optional[np.ndarray]  # None when wrt="params"
 
 
-def _param_grad(mlp: Mlp, scratch: dict) -> np.ndarray:
-    """The scratch's flat gradient buffer; its per-layer views are made with it, once."""
-    grad = scratch.get("grad")
-    if grad is None or grad.shape != mlp.params.shape:
-        grad = scratch["grad"] = np.empty_like(mlp.params)
-        for i, views in enumerate(zip(*_layer_views(grad, mlp.layer_dims))):
-            scratch[("gw", i)], scratch[("gb", i)] = views
-    return grad
-
-
 def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
              wrt: str = "both") -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
-    output). Returns the parameter gradient as one flat vector laid out like
+    output), cast to the pass's dtype, which ``x`` sets as in ``forward``.
+    Returns the parameter gradient as one flat vector laid out like
     ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
     over the batch. ``wrt="params"`` stops before the layer-0 input product
     and leaves ``inputs`` as None; ``wrt="inputs"`` leaves ``params`` as None.
@@ -206,18 +258,19 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     """
     if wrt not in ("both", "params", "inputs"):
         raise ValueError(f"wrt must be 'both', 'params' or 'inputs', not {wrt!r}")
-    x = np.asarray(x, dtype=float)
+    x = pass_input(x)
+    dtype = x.dtype
     squeeze = x.ndim == 1
     if scratch is None:
         scratch = {}
         forward(mlp, x, scratch)
     x = np.atleast_2d(x)
     n = len(x)
-    g = np.atleast_2d(np.asarray(grad_output, dtype=float))
+    g = np.atleast_2d(np.asarray(grad_output, dtype=dtype))
     if g.shape != (n, mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    grad = None if wrt == "inputs" else _param_grad(mlp, scratch)
+    grad = None if wrt == "inputs" else _flat_buffer(mlp, scratch, "grad", ("gw", "gb"), dtype)
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
@@ -225,8 +278,9 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
             delta.sum(axis=0, out=scratch[("gb", i)])
         if i == 0 and wrt == "params":
             break
-        upstream = np.matmul(delta, mlp.weights[i],
-                             out=scratch_buffer(scratch, ("up", i - 1), (n, mlp.layer_dims[i])))
+        w = mlp.weights[i] if dtype == mlp.params.dtype else scratch[("w", i)]
+        upstream = np.matmul(delta, w, out=scratch_buffer(scratch, ("up", i - 1),
+                                                          (n, mlp.layer_dims[i]), dtype))
         if i > 0:
             neg = scratch[("z", i - 1)][:n]  # min(z, 0); its exp is the ELU derivative
             delta = np.multiply(upstream, np.exp(neg, out=neg), out=upstream)
@@ -265,6 +319,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
 
     ``params`` and the moments in ``state`` are overwritten and the same two
     objects are returned; a non-finite gradient raises before anything is.
+    The update runs in float64 whatever the dtype of ``grads``: a float32
+    gradient gives the bits of the same gradient upcast first.
     """
     if not np.all(np.isfinite(grads)):
         raise TrainingDiverged("diverged: non-finite gradient")
@@ -273,9 +329,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     m, v = state.first_moment, state.second_moment
     step, denom = state.work
     m *= b1  # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, in that order of operations
-    m += np.multiply(1.0 - b1, grads, out=step)
+    m += np.multiply(1.0 - b1, grads, out=step, dtype=FLOAT64)
     v *= b2
-    v += np.multiply(np.multiply(1.0 - b2, grads, out=denom), grads, out=denom)
+    v += np.multiply(np.multiply(1.0 - b2, grads, out=denom, dtype=FLOAT64), grads, out=denom)
     # params -= (lr m_hat) / (sqrt(v_hat) + eps)
     np.multiply(np.divide(m, 1.0 - b1 ** t, out=step), lr, out=step)
     np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=denom), out=denom), eps, out=denom)
@@ -295,6 +351,8 @@ class TrainReport:
     model: Mlp            # best-validation snapshot
     best_epoch: int
     seed: int
+    # validation MSE of a predictor that always outputs the mean training target
+    baseline_val_loss: float = float("nan")
 
     @property
     def best_val_loss(self) -> float:
@@ -326,7 +384,9 @@ def train(
 ) -> TrainReport:
     """Minibatch Adam training with per-epoch validation and best-val snapshot.
 
-    ``train_pairs``/``val_pairs`` are non-empty (inputs, targets) arrays. The
+    ``train_pairs``/``val_pairs`` are non-empty (inputs, targets) arrays.
+    Float32 training inputs stay float32, so the steps' passes run in
+    float32; any other inputs, and all targets, are converted to float64. The
     objective is batch-mean MSE against the targets, by default of the network
     output. The tandem stage trains through frozen downstream stages by supplying
     ``predict_fn(model, x=...)``, the derivative-free prediction validation
@@ -343,7 +403,7 @@ def train(
     loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
     x_val, y_val = val_pairs
-    x_train = np.asarray(x_train, dtype=float)
+    x_train = pass_input(x_train)
     y_train = np.asarray(y_train, dtype=float)
     n = x_train.shape[0]
     if n == 0:
@@ -363,7 +423,7 @@ def train(
     best_epoch = -1
 
     rows = min(batch_size, n)
-    x_batch = np.empty((rows, *x_train.shape[1:]))
+    x_batch = np.empty((rows, *x_train.shape[1:]), x_train.dtype)
     y_batch = np.empty((rows, *y_train.shape[1:]))
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -402,6 +462,7 @@ def train(
         model=model,
         best_epoch=best_epoch,
         seed=seed,
+        baseline_val_loss=mse(np.broadcast_to(y_train.mean(axis=0), np.shape(y_val)), y_val),
     )
 
 

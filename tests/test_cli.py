@@ -135,6 +135,21 @@ def test_diverged_training_prints_one_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: diverged"), proc.stderr
 
 
+def test_unhealthy_surrogate_is_written_flagged_and_exits_0(tmp_path, capsys, caplog):
+    caplog.set_level("INFO")
+    # at --lr-fse 1e6 the float32 steps stay finite, but validation MSE reaches about 1e40
+    assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
+    capsys.readouterr()
+    assert run_cli(["train-fse", "--seed", "5", *TINY, "--lr-fse", "1e6"], tmp_path) == cli.EXIT_OK
+    assert (tmp_path / "fse.json").exists()
+    outcome = json.loads((tmp_path / "manifest.json").read_text())["train-fse"]["outcome"]
+    assert outcome["fse_healthy"] is False
+    assert outcome["fse_val_mse"] > 1e30 > 1.0 > outcome["fse_mean_predictor_mse"] > 0.0
+    assert "fse_healthy: false\n" in capsys.readouterr().out
+    flagged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("unhealthy")]
+    assert len(flagged) == 1 and flagged[0].startswith("unhealthy fse: validation MSE")
+
+
 def test_frozen_inverse_training_is_runtime_error(tmp_path, capsys):
     # at tau = 1e-300 the soft quantizer is an exact staircase: every IDE gradient is zero
     assert run_cli(["pipeline", "--seed", "5", *TINY, "--tau", "1e-300"], tmp_path) == cli.EXIT_RUNTIME

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rispa import dataio, neural
+from rispa import dataio, engines, neural
 from rispa.engines import (
     FseModel,
     IdeModel,
@@ -215,6 +215,18 @@ def test_tandem_steps_take_no_page_faults():
     assert int(proc.stdout) < 100
 
 
+def test_float32_tandem_steps_take_no_page_faults():
+    # the steps as train_ide runs them: a float32 batch of inputs, float64 targets
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    script = _TANDEM_STEP_FAULTS.replace("x=y, y=y", "x=x, y=y").replace(
+        "state = ", "x = y.astype(np.float32)\nstate = ")
+    assert "x=x, y=y" in script and "float32" in script
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
+
+
 # growth of the peak resident set over one noisy closed-loop eval of 10,000 targets
 # with untrained networks, in a fresh process
 _EVAL_PEAK_GROWTH = """
@@ -306,6 +318,52 @@ def test_train_ide_freezes_surrogate(tiny_tandem):
 def test_train_ide_loss_decreases(tiny_tandem):
     _, _, _, report, _ = tiny_tandem
     assert report.train_losses[-1] < report.train_losses[0]
+
+
+# the buffers the loss and the soft quantizer write; every network-pass buffer is the step's dtype
+_FLOAT64_STEP_KEYS = {"d", "soft"}
+
+
+def _step_dtypes(scratch):
+    return {k[0] if isinstance(k, tuple) else k: v.dtype for k, v in scratch.items()}
+
+
+def test_training_steps_run_float32_and_validation_float64(tiny_corpus, monkeypatch):
+    _, ds = tiny_corpus
+    scratches, validated = [], []
+    supervised, tandem, mse = (neural._supervised_loss_and_grads, engines.tandem_loss_and_grads,
+                               neural.mse)
+
+    def spy_supervised(mlp, x, y, scratch):
+        result = supervised(mlp, x, y, scratch)
+        scratches.append(scratch)
+        return result
+
+    def spy_tandem(ide_mlp, fse_mlp, qcfg, x, y, ide_scratch, fse_scratch):
+        result = tandem(ide_mlp, fse_mlp, qcfg, x, y, ide_scratch, fse_scratch)
+        scratches.extend((ide_scratch, fse_scratch))
+        return result
+
+    def spy_mse(pred, y):  # validation scores its predictions with neural.mse
+        validated.append(pred.dtype)
+        return mse(pred, y)
+
+    monkeypatch.setattr(neural, "_supervised_loss_and_grads", spy_supervised)
+    monkeypatch.setattr(engines, "tandem_loss_and_grads", spy_tandem)
+    monkeypatch.setattr(neural, "mse", spy_mse)
+    fse, _ = train_fse(ds.subset(np.arange(20)), ds.subset(np.arange(20, 24)), epochs=2,
+                       learning_rate=1e-3, batch_size=8, seed=1)
+    targets = dataio.generate_targets(40, seed=2)
+    train_ide(fse, targets.subset(np.arange(32)), targets.subset(np.arange(32, 40)), epochs=2,
+              learning_rate=1e-3, batch_size=16, seed=3)
+    # train_fse: 3 steps an epoch, one scratch each; train_ide: 2 steps an epoch, two scratches each
+    assert len(scratches) == 3 * 2 + 2 * 2 * 2
+    for scratch in scratches:
+        for key, dtype in _step_dtypes(scratch).items():
+            assert dtype == (np.float64 if key in _FLOAT64_STEP_KEYS else np.float32), key
+    assert "x" in scratches[-1] and ("soft", 0) in scratches[-2]
+    assert validated and set(validated) == {np.dtype(np.float64)}
+    assert fse.mlp.params.dtype == np.float64
 
 
 def test_design_batch_contract(tiny_tandem):

@@ -328,6 +328,18 @@ def test_supervised_steps_take_no_page_faults():
     assert int(proc.stdout) < 100
 
 
+def test_float32_supervised_steps_take_no_page_faults():
+    # the steps as train_fse runs them: a float32 batch of inputs, float64 targets
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    script = _SUPERVISED_STEP_FAULTS.replace("size=(128, 40))",
+                                             "size=(128, 40)).astype(np.float32)")
+    assert "float32" in script and "float32" not in _SUPERVISED_STEP_FAULTS
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 100
+
+
 def test_backward_batched_equals_sum_of_singles():
     mlp = nn.init_mlp([3, 4, 2], seed=5)
     rng = np.random.default_rng(6)
@@ -337,6 +349,73 @@ def test_backward_batched_equals_sum_of_singles():
     singles = [nn.backward(mlp, xs[i], gout[i]) for i in range(3)]
     assert np.allclose(batched.params, sum(s.params for s in singles), atol=1e-12)
     assert np.allclose(batched.inputs, np.vstack([s.inputs for s in singles]), atol=1e-12)
+
+
+# float32's unit roundoff. A float32 dot product of length n is within
+# gamma_n = n u / (1 - n u) of the exact one, relative to its sum of absolute
+# products (Higham, Accuracy and Stability of Numerical Algorithms, Thm 3.5).
+# Casting the input and the weights and adding the bias round twice more per
+# layer. To first order these errors add along the pass: forward has dot
+# products of length fan_in, backward of length fan_out, and the parameter
+# gradient sums over the batch rows. So the tolerance on a pass's error,
+# relative to its largest float64 value, is that count of roundings times u.
+U32 = 2.0 ** -24
+
+
+def _float32_tolerance(dims, rows):
+    count = sum(fan_in + fan_out + 4 for fan_in, fan_out in zip(dims[:-1], dims[1:])) + rows
+    return count * U32 / (1.0 - count * U32)
+
+
+def _relative_to_max(got, want):
+    return float(np.max(np.abs(got.astype(float) - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dims,rows", [([40, 100, 100, 3], 128), ([3, 50, 50, 20], 256),
+                                       ([4, 6, 5, 3], 1)])
+def test_float32_passes_match_float64_within_roundoff(dims, rows):
+    mlp = nn.init_mlp(dims, seed=rows)
+    rng = np.random.default_rng(len(dims) + rows)
+    x = rng.uniform(-1.0, 1.0, size=(rows, dims[0]))
+    gout = rng.normal(size=(rows, dims[-1]))
+    tol = _float32_tolerance(dims, rows)
+    x32 = x.astype(np.float32)
+    out32, out64 = nn.forward(mlp, x32), nn.forward(mlp, x)
+    assert out32.dtype == np.float32 and out64.dtype == np.float64
+    assert _relative_to_max(out32, out64) < tol
+    g32, g64 = nn.backward(mlp, x32, gout), nn.backward(mlp, x, gout)
+    assert g32.params.dtype == g32.inputs.dtype == np.float32
+    assert _relative_to_max(g32.params, g64.params) < tol
+    assert _relative_to_max(g32.inputs, g64.inputs) < tol
+    # the pass reads the float64 master weights without writing them
+    assert mlp.params.dtype == np.float64
+
+
+@pytest.mark.parametrize("x", [np.ones((5, 4)), np.ones(4), np.ones((5, 4), dtype=int),
+                               [1, 2, 3, 4]])
+def test_non_float32_inputs_keep_float64_buffers_and_output(x):
+    mlp = nn.init_mlp([4, 6, 5, 3], seed=1)
+    scratch = {}
+    out = nn.forward(mlp, x, scratch)
+    grads = nn.backward(mlp, x, np.ones_like(out), scratch)
+    assert out.dtype == grads.params.dtype == grads.inputs.dtype == np.float64
+    assert all(buf.dtype == np.float64 for buf in scratch.values())
+    assert np.array_equal(out, nn.forward(mlp, np.asarray(x, dtype=float)))
+
+
+def test_float32_scratch_buffers_are_remade_in_the_pass_dtype():
+    mlp = nn.init_mlp([4, 6, 5, 3], seed=1)
+    x = np.random.default_rng(2).normal(size=(7, 4))
+    scratch = {}
+    cast_keys = {"params", ("w", 0), ("b", 0), ("w", 1), ("b", 1), ("w", 2), ("b", 2)}
+    # a float32 pass reads a float32 cast of the master weights, made in the scratch
+    for dtype, cast_made in ((np.float64, False), (np.float32, True), (np.float64, True)):
+        out = nn.forward(mlp, x.astype(dtype), scratch)
+        grads = nn.backward(mlp, x.astype(dtype), np.ones_like(out), scratch)
+        assert out.dtype == grads.params.dtype == grads.inputs.dtype == dtype
+        assert {buf.dtype for k, buf in scratch.items() if k not in cast_keys} == {np.dtype(dtype)}
+        assert (cast_keys <= scratch.keys()) == cast_made
+    assert {scratch[k].dtype for k in cast_keys} == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +522,23 @@ def test_flat_adam_is_bit_identical_to_per_array_reference():
     assert state.step_count == 3
 
 
+def test_float32_adam_step_is_bit_identical_to_upcast_gradients():
+    mlp = nn.init_mlp([3, 50, 50, 20], seed=43)
+    rng = np.random.default_rng(44)
+    params32, state32 = mlp.params.copy(), nn.init_adam(mlp.params, learning_rate=2e-3)
+    params64, state64 = mlp.params.copy(), nn.init_adam(mlp.params, learning_rate=2e-3)
+    for scale in (1.0, 1e-3, 1e3):
+        grads = (scale * rng.normal(size=mlp.params.size)).astype(np.float32)
+        nn.adam_step(params32, grads, state32)
+        nn.adam_step(params64, grads.astype(np.float64), state64)
+        assert params32.dtype == state32.first_moment.dtype == np.float64
+        assert params32.tobytes() == params64.tobytes()
+        assert state32.first_moment.tobytes() == state64.first_moment.tobytes()
+        assert state32.second_moment.tobytes() == state64.second_moment.tobytes()
+    with pytest.raises(nn.TrainingDiverged, match="non-finite gradient"):
+        nn.adam_step(params32, np.full(mlp.params.size, np.inf, dtype=np.float32), state32)
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -523,6 +619,24 @@ def test_train_is_deterministic():
     assert r1.train_losses == r2.train_losses
     assert r1.val_losses == r2.val_losses
     assert np.array_equal(r1.model.params, r2.model.params)
+
+
+def test_float32_training_is_bit_identical_when_repeated():
+    # the desk FSE's layout, float32 inputs: float32 steps over float64 master weights
+    rng = np.random.default_rng(54)
+    x, y = rng.uniform(-1.0, 1.0, size=(300, 40)), rng.uniform(0.0, 1.0, size=(300, 3))
+    mlp = nn.init_mlp([40, 100, 100, 3], seed=55)
+    reports = [nn.train(mlp, (x.astype(np.float32), y), (x[:40], y[:40]), epochs=3,
+                        batch_size=128, learning_rate=1e-2, seed=56) for _ in range(2)]
+    assert reports[0].train_losses == reports[1].train_losses
+    assert reports[0].val_losses == reports[1].val_losses
+    assert reports[0].model.params.dtype == np.float64
+    assert reports[0].model.params.tobytes() == reports[1].model.params.tobytes()
+    # the float32 run differs from the float64 one, so the inputs' dtype did set the precision
+    float64_run = nn.train(mlp, (x, y), (x[:40], y[:40]), epochs=3, batch_size=128,
+                           learning_rate=1e-2, seed=56)
+    assert float64_run.train_losses != reports[0].train_losses
+    assert float64_run.train_losses == pytest.approx(reports[0].train_losses, rel=1e-4)
 
 
 def test_full_batch_epoch_independent_of_record_order():

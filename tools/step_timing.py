@@ -4,9 +4,12 @@ Times, on warm scratches, what ``perfbench --trace 1`` cannot show apart:
 the wrap of the inverse network's output to degrees, one whole desk-shaped
 tandem step (batch 256: the inverse network trained through the frozen
 surrogate, with its Adam update), one whole desk-shaped surrogate step
-(batch 128, as plain ``forward``, full ``backward`` and Adam calls) and one
-desk-shaped surrogate epoch of ``neural.train`` itself (1,620 rows at batch
-128, then 180 validation rows), which runs the training step as a run does.
+(batch 128: ``forward``, ``mse_and_grad``, the parameter-only ``backward``
+and Adam) and one desk-shaped surrogate epoch of ``neural.train`` itself
+(1,620 rows at batch 128, then 180 validation rows). The steps get float32
+input batches, as ``neural.train`` gathers them from the training inputs of
+``engines.train_fse`` and ``engines.train_ide``, and float64 targets; the
+epoch's validation inputs are float64, as in a run.
 The trace already reports the self time of the soft quantizer, the encoding
 and each network pass. Each line gives one timing in microseconds per call,
 the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
@@ -40,6 +43,7 @@ TANDEM_BATCH = 256   # the desk preset's batch_ide
 FSE_BATCH = 128      # the desk preset's batch_fse
 FSE_ROWS = (1620, 180)  # the desk preset's surrogate training and validation split of 2,000
 SEED = 0             # picks the weights and inputs only
+BATCH_DTYPE = np.float32  # the dtype of a training step's input batch
 
 
 def _tandem_kernels():
@@ -48,13 +52,14 @@ def _tandem_kernels():
     ide = neural.init_mlp(engines.ide_layer_dims(), seed=SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED + 1)
     qcfg = QuantizerConfig()
-    x = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
+    y = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
+    x = y.astype(BATCH_DTYPE)
     ide_scratch, fse_scratch = {}, {}
     raw = neural.forward(ide, x).copy()
     adam = neural.init_adam(ide.params, 2e-3)
 
     def step():
-        _, grads = engines.tandem_loss_and_grads(ide, fse, qcfg, x, x, ide_scratch, fse_scratch)
+        _, grads = engines.tandem_loss_and_grads(ide, fse, qcfg, x, y, ide_scratch, fse_scratch)
         neural.adam_step(ide.params, grads, adam)
 
     step()
@@ -65,13 +70,13 @@ def _fse_step():
     """One supervised surrogate step as ``neural.train`` runs it, with its Adam update."""
     rng = np.random.default_rng(SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
-    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20)))
+    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20)), BATCH_DTYPE)
     y = rng.uniform(0.0, 1.0, size=(FSE_BATCH, 3))
     scratch, adam = {}, neural.init_adam(fse.params, 1e-3)
 
     def step():
-        pred = neural.forward(fse, x, scratch)
-        grads = neural.backward(fse, x, neural.mse_grad(pred, y), scratch).params
+        _, g_pred = neural.mse_and_grad(neural.forward(fse, x, scratch), y, scratch)
+        grads = neural.backward(fse, x, g_pred, scratch, wrt="params").params
         neural.adam_step(fse.params, grads, adam)
 
     step()
@@ -83,9 +88,11 @@ def _fse_epoch():
     rng = np.random.default_rng(SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
     cut = FSE_ROWS[0]
-    x = engines.profile_encoding(rng.integers(0, 8, size=(sum(FSE_ROWS), 20)))
+    profiles = rng.integers(0, 8, size=(sum(FSE_ROWS), 20))
+    x_train = engines.profile_encoding(profiles[:cut], BATCH_DTYPE)
+    x_val = engines.profile_encoding(profiles[cut:])
     y = rng.uniform(0.0, 1.0, size=(sum(FSE_ROWS), 3))
-    return lambda: neural.train(fse, (x[:cut], y[:cut]), (x[cut:], y[cut:]), epochs=1,
+    return lambda: neural.train(fse, (x_train, y[:cut]), (x_val, y[cut:]), epochs=1,
                                 batch_size=FSE_BATCH, learning_rate=1e-3, seed=SEED)
 
 
@@ -112,6 +119,7 @@ def main(argv=None) -> int:
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
         "fse_batch": FSE_BATCH,
+        "batch_dtype": np.dtype(BATCH_DTYPE).name,
         "number": args.number,
         "repeat": args.repeat,
         "tandem_us": {k: round(v, 1) for k, v in tandem.items()},
