@@ -30,7 +30,8 @@ from .atomic import atomic_write
 from .dataio import derive_seed
 from .evalkit import PRESETS, PipelineSettings
 from .neural import TrainingDiverged
-from .scene import Scene, default_scene, load_scene, save_scene, scene_digest
+from .scene import (Scene, default_scene, load_scene, save_scene, scene_digest,
+                    scenes_differ_only_in_obstacle)
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +53,7 @@ MANIFEST_FILE = "manifest.json"
 ADAPT_STALE_FILE = "adapt_stale.csv"
 ADAPT_RETRAINED_FILE = "adapt_retrained.csv"
 ADAPT_SUMMARY_FILE = "adapt_summary.txt"
+PROBE_COUNT = 3  # the targets, evalkit.SPECIAL_CASES and the eval CSV columns assume it
 
 
 class CliError(Exception):
@@ -119,11 +121,16 @@ SETTING_FLAGS = {
 }
 
 
-def _scene_flag(flag: str, path, with_obstacle: bool = False) -> Scene:
+def _scene_flag(flag: str, path, settings: PipelineSettings, with_obstacle: bool = False) -> Scene:
+    """The scene a flag names, under the noise override; every stage reads it so."""
     try:
-        return load_scene(path) if path else default_scene(with_obstacle=with_obstacle)
+        scene = load_scene(path) if path else default_scene(with_obstacle=with_obstacle)
     except (OSError, ValueError) as e:
         raise CliError(f"config error: {flag}: {e}", EXIT_CONFIG) from e
+    if scene.probe_count != PROBE_COUNT:
+        raise CliError(f"config error: {flag}: the scene has {scene.probe_count} probes; "
+                       f"rispa needs exactly {PROBE_COUNT}", EXIT_CONFIG)
+    return evalkit._apply_noise_override(scene, settings)
 
 
 def resolve_config(args) -> RunConfig:
@@ -140,12 +147,13 @@ def resolve_config(args) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise CliError(f"config error: {e}", EXIT_CONFIG) from e
 
-    # every stage reads the scene under the noise override, so it is applied here once
-    scene = evalkit._apply_noise_override(_scene_flag("--scene", args.scene), settings)
+    scene = _scene_flag("--scene", args.scene, settings)
     scene_b = None
     if args.command == "adapt":
-        scene_b = evalkit._apply_noise_override(
-            _scene_flag("--scene-b", args.scene_b, with_obstacle=True), settings)
+        scene_b = _scene_flag("--scene-b", args.scene_b, settings, with_obstacle=True)
+        if not scenes_differ_only_in_obstacle(scene, scene_b):
+            raise CliError("config error: --scene-b: scenes must differ only in the obstacle block",
+                           EXIT_CONFIG)
 
     out = Path(args.out or os.environ.get("RISPA_OUT") or "rispa_out")
     return RunConfig(scene=scene, scene_b=scene_b, out_dir=out, seed=args.seed,

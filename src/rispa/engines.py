@@ -11,12 +11,14 @@ the frozen chain
 so only the inverse network's weights move while gradients flow through every
 stage. Deployment snaps the inverse network's angles to the hard states.
 
-Precision: both stages hand ``neural.train`` float32 training inputs, so the
-network passes of every training step run in float32 over the float64
-master weights (see ``rispa.neural``). The tandem step writes the encoding
-straight into a float32 surrogate input; the wrap, the soft quantizer, the
-targets and the loss stay float64. Validation, ``fse_predict``,
-``tandem_forward``, ``design_batch``, evaluation and model files are float64.
+Precision: both stages hand ``neural.train`` float32 training inputs, so
+every training step runs on a float32 copy of the network being trained,
+refreshed from its float64 master after each Adam update (see
+``rispa.neural``). ``train_ide`` also makes one float32 copy of the frozen
+surrogate per run, and the tandem step writes the encoding straight into a
+float32 surrogate input; the wrap, the soft quantizer, the targets and the
+loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
+``design_batch``, evaluation and model files use the float64 networks.
 """
 
 from __future__ import annotations
@@ -216,17 +218,18 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     writes into buffers the forward half has spent: the input gradient of
     the surrogate, the soft angles and their derivative.
 
-    Both networks' passes run in the dtype of ``x`` (see ``neural.pass_input``);
-    the wrap, the soft quantizer, ``y``, the loss and its gradient are float64.
+    Each network's passes run in the dtype of its ``params``, and the
+    encoding is stored in the surrogate's; the wrap, the soft quantizer,
+    ``y``, the loss and its gradient are float64.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch
-    x = np.atleast_2d(neural.pass_input(x))
+    x = np.atleast_2d(np.asarray(x, dtype=ide_mlp.params.dtype))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     raw = neural.forward(ide_mlp, x, ide_scratch)
     angles = ide_output_to_angles(raw)
     soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
-    encoded = encode_phases(soft, fse_scratch, x.dtype)
+    encoded = encode_phases(soft, fse_scratch, fse_mlp.params.dtype)
     pred = neural.forward(fse_mlp, encoded, fse_scratch)
     loss, g_pred = neural.mse_and_grad(pred, y, fse_scratch)
 
@@ -250,13 +253,15 @@ def train_ide(
 
     The surrogate's parameters are digest-checked before and after; any
     drift is a bug, not a tolerance. As in ``train_fse``, the training inputs
-    are float32 and validation is float64.
+    are float32 and validation is float64; the steps read a float32 copy of
+    the surrogate, made once here.
     """
     qcfg = qcfg or QuantizerConfig()
     probes = train_targets.targets.shape[1]
     ide_mlp = neural.init_mlp(ide_layer_dims(fse.column_count, probes), seed=seed)
 
     fse_digest_before = fse.digest()
+    fse_steps = Mlp(list(fse.mlp.layer_dims), fse.mlp.params.astype(neural.FLOAT32))
     report = neural.train(
         ide_mlp,
         (train_targets.targets.astype(neural.FLOAT32), train_targets.targets),
@@ -266,7 +271,7 @@ def train_ide(
         learning_rate=learning_rate,
         seed=seed,
         predict_fn=partial(tandem_forward, fse_mlp=fse.mlp, qcfg=qcfg),
-        loss_and_grads_fn=partial(tandem_loss_and_grads, fse_mlp=fse.mlp, qcfg=qcfg,
+        loss_and_grads_fn=partial(tandem_loss_and_grads, fse_mlp=fse_steps, qcfg=qcfg,
                                   ide_scratch={}, fse_scratch={}),
     )
     if fse.digest() != fse_digest_before:

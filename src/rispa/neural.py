@@ -1,7 +1,7 @@
 """Minimal fully connected network core in plain numpy.
 
 Fixed topology: affine layers with ELU on the hidden layers and identity on
-the output. An ``Mlp`` keeps its parameters in one float64 vector, ``params``,
+the output. An ``Mlp`` keeps its parameters in one flat vector, ``params``,
 laid out [W0, b0, W1, b1, ...] row-major; its ``weights`` and ``biases`` are
 views of it, and ``backward`` returns the parameter gradient in the same flat
 layout, so Adam, the finite check, snapshots and the digest each act on one
@@ -13,11 +13,14 @@ layer-0 input product) or only the input gradient of a frozen one
 (``"inputs"``). Everything is seeded; the training loop is single-threaded
 so fixed seeds give bit-identical histories.
 
-Precision: a pass computes in the dtype of its input (``pass_input``). A
-float32 input runs on float32 buffers with a float32 cast of the weights;
-any other input runs in float64, bit for bit as before float32 passes
-existed. ``engines`` hands ``train`` float32 training inputs, so the network
-passes of every training step run in float32. What is stored, compared or
+Precision: a pass computes in the dtype of its network's ``params``. An
+``Mlp`` keeps float32 ``params`` as float32 and makes anything else float64,
+and a pass casts its input to that dtype. ``train`` runs the steps of a run
+with float32 training inputs on a float32 copy of the model, made once and
+refreshed from the float64 master after each Adam update; float64 inputs
+run on the master itself, bit for bit as before float32 steps existed.
+``engines`` hands ``train`` float32 training inputs, so the network passes
+of every training step run in float32. What is stored, compared or
 optimized stays float64: the master ``params``, Adam's moments and update
 (``adam_step`` upcasts a float32 gradient exactly), targets, losses and
 their gradient, validation, inference and model files. The master weights
@@ -30,18 +33,17 @@ A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes
 write into it: after the first step their batch-sized arrays are its buffers
 (a float32 pass still casts the float64 loss gradient afresh), and their
-results are views that the next pass with that scratch overwrites. A float32
-pass also keeps there its cast of the weights, ``"params"`` with views
-``("w", i)`` and ``("b", i)``. The
+results are views that the next pass with that scratch overwrites. The
 scratch is the record of the forward pass: ``backward`` reads each layer's
 input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
 ``forward`` just filled, and turns the latter into the ELU derivative
 ``exp(min(z, 0))`` in place, so nothing of the pass is recomputed. The
 parameter gradient is the scratch's ``"grad"`` buffer, and its per-layer
 weight and bias views are made with it, once, under ``("gw", i)`` and
-``("gb", i)``. A training step takes its loss and the loss gradient from one
-difference ``pred - y`` in the scratch's ``"d"`` buffer (``mse_and_grad``).
-``adam_step`` updates the parameters and its moments in place.
+``("gb", i)``; it has the dtype of ``params``. A training step takes its loss
+and the loss gradient from one difference ``pred - y`` in the scratch's
+``"d"`` buffer (``mse_and_grad``). ``adam_step`` updates the parameters and
+its moments in place.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class Mlp:
     def __post_init__(self):
         if len(self.layer_dims) < 2 or any(d < 1 for d in self.layer_dims):
             raise ValueError("layer_dims needs at least 2 positive entries")
-        self.params = np.ascontiguousarray(self.params, dtype=float)
+        params = np.asarray(self.params)
+        self.params = np.ascontiguousarray(params, FLOAT32 if params.dtype == FLOAT32 else FLOAT64)
         self.weights, self.biases = _layer_views(self.params, self.layer_dims)
 
     def copy(self) -> "Mlp":
@@ -136,70 +139,44 @@ def scratch_buffer(scratch: Optional[dict], key, shape, dtype=FLOAT64) -> np.nda
     return buf[:shape[0]]
 
 
-def _flat_buffer(mlp: Mlp, scratch: dict, key, view_keys, dtype) -> np.ndarray:
-    """The scratch's ``dtype`` buffer ``key``, laid out like ``params``.
+def _param_grad(mlp: Mlp, scratch: dict) -> np.ndarray:
+    """The scratch's ``"grad"`` buffer, laid out and typed like ``params``.
 
     Its per-layer weight and bias views are made with it, once, under
-    ``(view_keys[0], i)`` and ``(view_keys[1], i)``.
+    ``("gw", i)`` and ``("gb", i)``.
     """
-    buf = scratch.get(key)
-    if buf is None or buf.shape != mlp.params.shape or buf.dtype != dtype:
-        buf = scratch[key] = np.empty(mlp.params.shape, dtype)
+    buf = scratch.get("grad")
+    if buf is None or buf.shape != mlp.params.shape or buf.dtype != mlp.params.dtype:
+        buf = scratch["grad"] = np.empty_like(mlp.params)
         for i, views in enumerate(zip(*_layer_views(buf, mlp.layer_dims))):
-            scratch[(view_keys[0], i)], scratch[(view_keys[1], i)] = views
+            scratch[("gw", i)], scratch[("gb", i)] = views
     return buf
-
-
-def _pass_weights(mlp: Mlp, dtype, scratch: Optional[dict]):
-    """The weights and biases that a pass in ``dtype`` reads.
-
-    For float64 they are the master views. Otherwise ``params`` is cast once
-    per forward pass, with a scratch into its ``"params"`` buffer, whose
-    per-layer views ``("w", i)`` and ``("b", i)`` are made with it, once; the
-    ``backward`` of that pass reads the same cast.
-    """
-    if dtype == mlp.params.dtype:
-        return mlp.weights, mlp.biases
-    if scratch is None:
-        return _layer_views(mlp.params.astype(dtype), mlp.layer_dims)
-    np.copyto(_flat_buffer(mlp, scratch, "params", ("w", "b"), dtype), mlp.params,
-              casting="same_kind")
-    layers = range(len(mlp.weights))
-    return [scratch[("w", i)] for i in layers], [scratch[("b", i)] for i in layers]
-
-
-def pass_input(x) -> np.ndarray:
-    """``x`` as the input of a network pass: float32 stays float32, anything else is float64."""
-    x = np.asarray(x)
-    return x if x.dtype == FLOAT32 else np.asarray(x, dtype=FLOAT64)
 
 
 def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     """Forward pass; accepts a single input vector or a (batch, dim) array.
 
-    The pass computes in the dtype of ``x`` as ``pass_input`` gives it, with
-    the weights cast to it (``_pass_weights``). With a ``scratch`` the output
-    is a view of its buffers, which keep, for ``backward``, each hidden
-    layer's output ``("h", i)`` and ``min(z, 0)`` of its pre-activation ``z``
-    in ``("z", i)``.
+    The pass computes in the dtype of ``mlp.params``, to which ``x`` is cast.
+    With a ``scratch`` the output is a view of its buffers, which keep, for
+    ``backward``, each hidden layer's output ``("h", i)`` and ``min(z, 0)`` of
+    its pre-activation ``z`` in ``("z", i)``.
     """
-    x = pass_input(x)
-    dtype = x.dtype
+    x = np.asarray(x, dtype=mlp.params.dtype)
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
     if h.shape[1] != mlp.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
     last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(*_pass_weights(mlp, dtype, scratch))):
-        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w)), dtype))
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w)), x.dtype))
         z += b
         if i < last:
             # elu's operations, with min(z, 0) left in z for backward's derivative; the
             # positive part goes where backward later writes this layer's upstream.
             # Without a scratch it is made after h and freed with its layer: in that
             # order a fresh process's peak RSS is lowest.
-            h = scratch_buffer(scratch, ("h", i), z.shape, dtype)
-            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape, dtype))
+            h = scratch_buffer(scratch, ("h", i), z.shape, x.dtype)
+            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape, x.dtype))
             np.expm1(np.minimum(z, 0.0, out=z), out=h)
             h += pos
             del pos
@@ -213,9 +190,10 @@ def mse_and_grad(pred, y, scratch: Optional[dict] = None) -> Tuple[float, np.nda
     buffer when one is given: the loss is ``np.mean``'s sum of ``d * d`` over
     ``d.size``, and ``d`` then becomes the gradient ``(2 d) / d.size`` in
     place. These are the bits of ``np.mean((pred - y) ** 2)`` and
-    ``2 (pred - y) / pred.size``.
+    ``2 (pred - y) / pred.size``. ``d`` is float64; a float32 ``pred`` is
+    widened exactly inside the subtraction, not copied first.
     """
-    pred, y = np.asarray(pred, dtype=float), np.asarray(y, dtype=float)
+    pred, y = np.asarray(pred), np.asarray(y, dtype=float)
     if pred.shape != y.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {y.shape}")
     d = np.subtract(pred, y, out=scratch_buffer(scratch, "d", pred.shape))
@@ -245,7 +223,7 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
-    output), cast to the pass's dtype, which ``x`` sets as in ``forward``.
+    output); it and ``x`` are cast to the dtype of ``mlp.params``, as in ``forward``.
     Returns the parameter gradient as one flat vector laid out like
     ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
     over the batch. ``wrt="params"`` stops before the layer-0 input product
@@ -258,19 +236,18 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     """
     if wrt not in ("both", "params", "inputs"):
         raise ValueError(f"wrt must be 'both', 'params' or 'inputs', not {wrt!r}")
-    x = pass_input(x)
-    dtype = x.dtype
+    x = np.asarray(x, dtype=mlp.params.dtype)
     squeeze = x.ndim == 1
     if scratch is None:
         scratch = {}
         forward(mlp, x, scratch)
     x = np.atleast_2d(x)
     n = len(x)
-    g = np.atleast_2d(np.asarray(grad_output, dtype=dtype))
+    g = np.atleast_2d(np.asarray(grad_output, dtype=x.dtype))
     if g.shape != (n, mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    grad = None if wrt == "inputs" else _flat_buffer(mlp, scratch, "grad", ("gw", "gb"), dtype)
+    grad = None if wrt == "inputs" else _param_grad(mlp, scratch)
     delta = g  # identity output activation
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
@@ -278,9 +255,8 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
             delta.sum(axis=0, out=scratch[("gb", i)])
         if i == 0 and wrt == "params":
             break
-        w = mlp.weights[i] if dtype == mlp.params.dtype else scratch[("w", i)]
-        upstream = np.matmul(delta, w, out=scratch_buffer(scratch, ("up", i - 1),
-                                                          (n, mlp.layer_dims[i]), dtype))
+        upstream = np.matmul(delta, mlp.weights[i], out=scratch_buffer(
+            scratch, ("up", i - 1), (n, mlp.layer_dims[i]), x.dtype))
         if i > 0:
             neg = scratch[("z", i - 1)][:n]  # min(z, 0); its exp is the ELU derivative
             delta = np.multiply(upstream, np.exp(neg, out=neg), out=upstream)
@@ -385,13 +361,17 @@ def train(
     """Minibatch Adam training with per-epoch validation and best-val snapshot.
 
     ``train_pairs``/``val_pairs`` are non-empty (inputs, targets) arrays.
-    Float32 training inputs stay float32, so the steps' passes run in
-    float32; any other inputs, and all targets, are converted to float64. The
-    objective is batch-mean MSE against the targets, by default of the network
-    output. The tandem stage trains through frozen downstream stages by supplying
-    ``predict_fn(model, x=...)``, the derivative-free prediction validation
-    scores, and ``loss_and_grads_fn(model, x=..., y=...)``, the training loss
-    with its flat parameter gradient.
+    Float32 training inputs stay float32; any other inputs, and all targets,
+    are converted to float64. The steps of a run with float32 inputs get a
+    float32 copy of the float64 master network, made once and refreshed from
+    it after each Adam update, so their passes run in float32; otherwise they
+    get the master itself. Adam, validation, the best snapshot and the
+    returned model use the master. The objective is batch-mean MSE against
+    the targets, by default of the network output. The tandem stage trains
+    through frozen downstream stages by supplying ``predict_fn(model, x=...)``,
+    the derivative-free prediction validation scores, and
+    ``loss_and_grads_fn(model, x=..., y=...)``, the training loss with its
+    flat parameter gradient.
 
     Shuffling is seeded; batches run in a fixed order, so the loss histories
     are reproducible bit for bit. Each batch is gathered into two buffers made
@@ -403,7 +383,8 @@ def train(
     loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
     x_val, y_val = val_pairs
-    x_train = pass_input(x_train)
+    x_train = np.asarray(x_train)
+    x_train = x_train if x_train.dtype == FLOAT32 else x_train.astype(FLOAT64, copy=False)
     y_train = np.asarray(y_train, dtype=float)
     n = x_train.shape[0]
     if n == 0:
@@ -414,7 +395,8 @@ def train(
         raise ValueError("batch_size must be >= 1")
 
     rng = np.random.default_rng(seed)
-    model = mlp.copy()
+    model = Mlp(list(mlp.layer_dims), mlp.params.astype(FLOAT64))
+    steps = model if x_train.dtype == FLOAT64 else Mlp(model.layer_dims, model.params.astype(FLOAT32))
     state = init_adam(model.params, learning_rate)
     train_losses: List[float] = []
     val_losses: List[float] = []
@@ -433,13 +415,15 @@ def train(
             # mode="clip" lets take write straight into out; "raise" would buffer it
             x = np.take(x_train, idx, axis=0, out=x_batch[:len(idx)], mode="clip")
             y = np.take(y_train, idx, axis=0, out=y_batch[:len(idx)], mode="clip")
-            loss, grads = loss_and_grads_fn(model, x=x, y=y)
+            loss, grads = loss_and_grads_fn(steps, x=x, y=y)
             try:
                 if not np.isfinite(loss):
                     raise TrainingDiverged("diverged: non-finite loss")
                 adam_step(model.params, grads, state)
             except TrainingDiverged as e:
                 raise TrainingDiverged(f"{e} at epoch {epoch}", train_losses, val_losses) from e
+            if steps is not model:  # Adam is the master's only writer; the copy follows it
+                np.copyto(steps.params, model.params, casting="same_kind")
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         # x stays positional: perfbench's tracer counts rows from forward's second argument

@@ -219,6 +219,31 @@ def test_malformed_scene_file_is_one_line_config_error(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("config error: --scene: "), err
 
 
+@pytest.mark.parametrize("probes", [2, 4])
+@pytest.mark.parametrize("command,flag", [("collect", "--scene"), ("eval", "--scene"),
+                                          ("adapt", "--scene"), ("adapt", "--scene-b")])
+def test_scene_without_three_probes_fails_before_any_work(tmp_path, capsys, probes, command, flag):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"probe_positions_m": [[0.1 * i, 0.0, 1.0] for i in range(probes)]}))
+    out = tmp_path / "out"
+    assert run_cli([command, flag, str(path), *TINY], out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag}: the scene has {probes} probes; rispa needs exactly 3\n"
+    assert not out.exists()
+
+
+def test_adapt_with_scenes_differing_outside_the_obstacle_fails_before_any_work(tmp_path):
+    # a subprocess, so that any log line of a started run would show on stderr
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"frequency_hz": 1.0e10}))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "rispa.cli", "adapt", "--scene-b", str(path),
+                           "--seed", "1", *TINY, "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr == "config error: --scene-b: scenes must differ only in the obstacle block\n"
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_scene_digest_mismatch_refused_without_force(tmp_path, capsys):
     assert run_cli(["collect", "--seed", "5", *TINY], tmp_path) == 0
     # different scene (nonzero noise changes the digest)

@@ -216,12 +216,23 @@ def test_tandem_steps_take_no_page_faults():
 
 
 def test_float32_tandem_steps_take_no_page_faults():
-    # the steps as train_ide runs them: a float32 batch of inputs, float64 targets
+    # the steps as train_ide runs them: a float32 batch of inputs, float64 targets, float32
+    # copies of both networks, and the inverse network's copy refreshed after each Adam update
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the faults come from glibc returning freed memory to the kernel")
-    script = _TANDEM_STEP_FAULTS.replace("x=y, y=y", "x=x, y=y").replace(
-        "state = ", "x = y.astype(np.float32)\nstate = ")
-    assert "x=x, y=y" in script and "float32" in script
+    script = _TANDEM_STEP_FAULTS
+    for old, new in (
+        ("state = ", "x = y.astype(np.float32)\n"
+                     "ide32 = neural.Mlp(ide.layer_dims, ide.params.astype(np.float32))\n"
+                     "fse32 = neural.Mlp(fse.layer_dims, fse.params.astype(np.float32))\n"
+                     "state = "),
+        ("(ide, fse, QuantizerConfig(), x=y,", "(ide32, fse32, QuantizerConfig(), x=x,"),
+        ("neural.adam_step(ide.params, grads, state)\n",
+         "neural.adam_step(ide.params, grads, state)\n"
+         "    np.copyto(ide32.params, ide.params, casting='same_kind')\n"),
+    ):
+        assert script.count(old) == 1, old
+        script = script.replace(old, new)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 100
@@ -364,6 +375,36 @@ def test_training_steps_run_float32_and_validation_float64(tiny_corpus, monkeypa
     assert "x" in scratches[-1] and ("soft", 0) in scratches[-2]
     assert validated and set(validated) == {np.dtype(np.float64)}
     assert fse.mlp.params.dtype == np.float64
+
+
+def test_train_ide_steps_get_float32_copies_bit_equal_to_their_masters(monkeypatch):
+    fse = FseModel(mlp=neural.init_mlp(fse_layer_dims(), seed=1), column_count=20, i_max=1.0)
+    start = neural.init_mlp(ide_layer_dims(), seed=3)  # train_ide's initial inverse network
+    surrogates, updated = [], []
+    tandem, adam_step = engines.tandem_loss_and_grads, neural.adam_step
+
+    def spy_adam(params, grads, state):
+        updated.append(params)
+        return adam_step(params, grads, state)
+
+    def spy_tandem(ide_mlp, fse_mlp, qcfg, x, y, ide_scratch, fse_scratch):
+        master = updated[-1] if updated else start.params
+        assert ide_mlp.params.dtype == fse_mlp.params.dtype == np.float32
+        assert ide_mlp.params.tobytes() == master.astype(np.float32).tobytes()
+        assert fse_mlp.params.tobytes() == fse.mlp.params.astype(np.float32).tobytes()
+        surrogates.append(fse_mlp)
+        return tandem(ide_mlp, fse_mlp, qcfg, x, y, ide_scratch, fse_scratch)
+
+    monkeypatch.setattr(neural, "adam_step", spy_adam)
+    monkeypatch.setattr(engines, "tandem_loss_and_grads", spy_tandem)
+    targets = dataio.generate_targets(40, seed=2)
+    ide, _ = train_ide(fse, targets.subset(np.arange(32)), targets.subset(np.arange(32, 40)),
+                       epochs=2, learning_rate=1e-3, batch_size=16, seed=3)
+    # 2 steps an epoch on one surrogate copy, made once per run; the masters stay float64
+    assert len(surrogates) == len(updated) == 2 * 2
+    assert all(s is surrogates[0] for s in surrogates)
+    assert all(p is ide.mlp.params for p in updated)
+    assert ide.mlp.params.dtype == fse.mlp.params.dtype == np.float64
 
 
 def test_design_batch_contract(tiny_tandem):

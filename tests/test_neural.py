@@ -166,6 +166,12 @@ def test_mse_and_grad_is_bit_identical_to_plain_expressions(shape):
     assert loss == float(np.mean((a - b) ** 2)) == nn.mse(a, b)
     assert grad.tobytes() == (2.0 * (a - b) / a.size).tobytes() == nn.mse_grad(a, b).tobytes()
     assert np.shares_memory(grad, scratch["d"])
+    # a float32 prediction (a float32 step's) gives the bits of its upcast, in the float64 buffer
+    a32 = a.astype(np.float32)
+    loss32, grad32 = nn.mse_and_grad(a32, b, scratch)
+    assert grad32.dtype == np.float64 and np.shares_memory(grad32, scratch["d"])
+    assert loss32 == float(np.mean((a32.astype(float) - b) ** 2))
+    assert grad32.tobytes() == (2.0 * (a32.astype(float) - b) / a.size).tobytes()
     with pytest.raises(ValueError, match="shape mismatch"):
         nn.mse_and_grad(a, b[..., :-1])
 
@@ -328,13 +334,30 @@ def test_supervised_steps_take_no_page_faults():
     assert int(proc.stdout) < 100
 
 
+def _replaced(text, *pairs):
+    for old, new in pairs:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+# the steps as neural.train runs them on float32 inputs: a float32 copy of the network takes
+# the step, and after Adam updates the float64 master the copy is refreshed from it
+_FLOAT32_STEPS = (
+    ("state = ", "steps = neural.Mlp(mlp.layer_dims, mlp.params.astype(np.float32))\nstate = "),
+    ("(mlp, x[:rows]", "(steps, x[:rows]"),
+    ("neural.adam_step(mlp.params, grads, state)\n",
+     "neural.adam_step(mlp.params, grads, state)\n"
+     "    np.copyto(steps.params, mlp.params, casting='same_kind')\n"),
+)
+
+
 def test_float32_supervised_steps_take_no_page_faults():
     # the steps as train_fse runs them: a float32 batch of inputs, float64 targets
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the faults come from glibc returning freed memory to the kernel")
-    script = _SUPERVISED_STEP_FAULTS.replace("size=(128, 40))",
-                                             "size=(128, 40)).astype(np.float32)")
-    assert "float32" in script and "float32" not in _SUPERVISED_STEP_FAULTS
+    script = _replaced(_SUPERVISED_STEP_FAULTS, *_FLOAT32_STEPS,
+                       ("size=(128, 40))", "size=(128, 40)).astype(np.float32)"))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 100
@@ -375,20 +398,22 @@ def _relative_to_max(got, want):
                                        ([4, 6, 5, 3], 1)])
 def test_float32_passes_match_float64_within_roundoff(dims, rows):
     mlp = nn.init_mlp(dims, seed=rows)
+    mlp32 = nn.Mlp(list(dims), mlp.params.astype(np.float32))  # a training step's copy
     rng = np.random.default_rng(len(dims) + rows)
     x = rng.uniform(-1.0, 1.0, size=(rows, dims[0]))
     gout = rng.normal(size=(rows, dims[-1]))
     tol = _float32_tolerance(dims, rows)
-    x32 = x.astype(np.float32)
-    out32, out64 = nn.forward(mlp, x32), nn.forward(mlp, x)
+    # the float32 network casts the float64 input itself
+    out32, out64 = nn.forward(mlp32, x), nn.forward(mlp, x)
     assert out32.dtype == np.float32 and out64.dtype == np.float64
     assert _relative_to_max(out32, out64) < tol
-    g32, g64 = nn.backward(mlp, x32, gout), nn.backward(mlp, x, gout)
+    g32, g64 = nn.backward(mlp32, x, gout), nn.backward(mlp, x, gout)
     assert g32.params.dtype == g32.inputs.dtype == np.float32
     assert _relative_to_max(g32.params, g64.params) < tol
     assert _relative_to_max(g32.inputs, g64.inputs) < tol
-    # the pass reads the float64 master weights without writing them
-    assert mlp.params.dtype == np.float64
+    # the float32 copy holds the rounded master weights; the master is untouched
+    assert mlp32.params.dtype == np.float32 and mlp.params.dtype == np.float64
+    assert mlp32.params.tobytes() == mlp.params.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("x", [np.ones((5, 4)), np.ones(4), np.ones((5, 4), dtype=int),
@@ -405,17 +430,35 @@ def test_non_float32_inputs_keep_float64_buffers_and_output(x):
 
 def test_float32_scratch_buffers_are_remade_in_the_pass_dtype():
     mlp = nn.init_mlp([4, 6, 5, 3], seed=1)
+    networks = {np.float64: mlp, np.float32: nn.Mlp(mlp.layer_dims, mlp.params.astype(np.float32))}
     x = np.random.default_rng(2).normal(size=(7, 4))
     scratch = {}
-    cast_keys = {"params", ("w", 0), ("b", 0), ("w", 1), ("b", 1), ("w", 2), ("b", 2)}
-    # a float32 pass reads a float32 cast of the master weights, made in the scratch
-    for dtype, cast_made in ((np.float64, False), (np.float32, True), (np.float64, True)):
-        out = nn.forward(mlp, x.astype(dtype), scratch)
-        grads = nn.backward(mlp, x.astype(dtype), np.ones_like(out), scratch)
+    # one scratch serving networks of both dtypes remakes every buffer in the network's dtype;
+    # the passes read the network's own weights, so the scratch holds no cast of them
+    for dtype in (np.float64, np.float32, np.float64):
+        net = networks[dtype]
+        out = nn.forward(net, x, scratch)
+        grads = nn.backward(net, x, np.ones_like(out), scratch)
         assert out.dtype == grads.params.dtype == grads.inputs.dtype == dtype
-        assert {buf.dtype for k, buf in scratch.items() if k not in cast_keys} == {np.dtype(dtype)}
-        assert (cast_keys <= scratch.keys()) == cast_made
-    assert {scratch[k].dtype for k in cast_keys} == {np.dtype(np.float32)}
+        assert {buf.dtype for buf in scratch.values()} == {np.dtype(dtype)}
+        assert {k if isinstance(k, str) else k[0] for k in scratch} == {"z", "h", "up", "grad",
+                                                                          "gw", "gb"}
+
+
+def test_float32_input_to_a_float64_network_runs_a_float64_pass():
+    mlp = nn.init_mlp([4, 6, 5, 3], seed=1)
+    x32 = np.random.default_rng(3).normal(size=(7, 4)).astype(np.float32)
+    scratch = {}
+    out = nn.forward(mlp, x32, scratch)
+    grads = nn.backward(mlp, x32, np.ones_like(out), scratch)
+    assert out.dtype == grads.params.dtype == grads.inputs.dtype == np.float64
+    assert {buf.dtype for buf in scratch.values()} == {np.dtype(np.float64)}
+    # the bits of the same pass on the exactly widened input
+    x64 = x32.astype(np.float64)
+    ref = nn.backward(mlp, x64, np.ones_like(out))
+    assert out.tobytes() == nn.forward(mlp, x64).tobytes()
+    assert grads.params.tobytes() == ref.params.tobytes()
+    assert grads.inputs.tobytes() == ref.inputs.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +680,43 @@ def test_float32_training_is_bit_identical_when_repeated():
                            learning_rate=1e-2, seed=56)
     assert float64_run.train_losses != reports[0].train_losses
     assert float64_run.train_losses == pytest.approx(reports[0].train_losses, rel=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_training_steps_get_the_master_weights_in_the_dtype_of_the_inputs(monkeypatch, dtype):
+    # float32 inputs: the steps get one float32 copy of the master, refreshed after each Adam
+    # update; float64 inputs: the master itself. Adam, validation and the result use the master.
+    rng = np.random.default_rng(57)
+    x, y = rng.uniform(-1.0, 1.0, size=(50, 3)), rng.normal(size=(50, 2))
+    mlp = nn.init_mlp([3, 8, 2], seed=58)
+    stepped, validated, updated = [], [], []
+    adam_step = nn.adam_step
+
+    def spy_adam(params, grads, state):
+        updated.append(params)
+        return adam_step(params, grads, state)
+
+    def spy_step(model, x, y):
+        master = updated[-1] if updated else mlp.params  # before the first update: the start
+        assert model.params.dtype == dtype
+        assert model.params.tobytes() == master.astype(dtype).tobytes()
+        stepped.append(model)
+        return nn._supervised_loss_and_grads(model, x, y)
+
+    def spy_predict(model, x):
+        validated.append(model)
+        return nn.forward(model, x)
+
+    monkeypatch.setattr(nn, "adam_step", spy_adam)
+    report = nn.train(mlp, (x.astype(dtype), y), (x[:10], y[:10]), epochs=3, batch_size=16,
+                      learning_rate=1e-2, seed=59, predict_fn=spy_predict,
+                      loss_and_grads_fn=spy_step)
+    assert len(stepped) == len(updated) == 3 * 4 and len(validated) == 3
+    assert all(s is stepped[0] for s in stepped)
+    assert (stepped[0] is report.model) == (dtype == np.float64)
+    assert all(p is report.model.params for p in updated)
+    assert all(v is report.model for v in validated)
+    assert report.model.params.dtype == np.float64
 
 
 def test_full_batch_epoch_independent_of_record_order():

@@ -6,10 +6,13 @@ tandem step (batch 256: the inverse network trained through the frozen
 surrogate, with its Adam update), one whole desk-shaped surrogate step
 (batch 128: ``forward``, ``mse_and_grad``, the parameter-only ``backward``
 and Adam) and one desk-shaped surrogate epoch of ``neural.train`` itself
-(1,620 rows at batch 128, then 180 validation rows). The steps get float32
-input batches, as ``neural.train`` gathers them from the training inputs of
-``engines.train_fse`` and ``engines.train_ide``, and float64 targets; the
-epoch's validation inputs are float64, as in a run.
+(1,620 rows at batch 128, then 180 validation rows). The steps run as
+``neural.train`` runs them on the float32 training inputs of
+``engines.train_fse`` and ``engines.train_ide``: on float32 copies of the
+networks, with float32 input batches and float64 targets, and each step
+ends by refreshing the trained network's copy from its float64 master after
+Adam has updated that. The epoch's validation inputs are float64, as in a
+run.
 The trace already reports the self time of the soft quantizer, the encoding
 and each network pass. Each line gives one timing in microseconds per call,
 the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
@@ -43,24 +46,32 @@ TANDEM_BATCH = 256   # the desk preset's batch_ide
 FSE_BATCH = 128      # the desk preset's batch_fse
 FSE_ROWS = (1620, 180)  # the desk preset's surrogate training and validation split of 2,000
 SEED = 0             # picks the weights and inputs only
-BATCH_DTYPE = np.float32  # the dtype of a training step's input batch
+STEP_DTYPE = np.float32  # the dtype of a training step's network copies and input batch
+
+
+def _step_copy(mlp):
+    """A training step's copy of ``mlp``, as ``neural.train`` makes it."""
+    return neural.Mlp(mlp.layer_dims, mlp.params.astype(STEP_DTYPE))
 
 
 def _tandem_kernels():
     """Name -> callable for the wrap and for one whole tandem step."""
     rng = np.random.default_rng(SEED)
     ide = neural.init_mlp(engines.ide_layer_dims(), seed=SEED)
-    fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED + 1)
+    ide_steps = _step_copy(ide)
+    fse_steps = _step_copy(neural.init_mlp(engines.fse_layer_dims(), seed=SEED + 1))
     qcfg = QuantizerConfig()
     y = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
-    x = y.astype(BATCH_DTYPE)
+    x = y.astype(STEP_DTYPE)
     ide_scratch, fse_scratch = {}, {}
-    raw = neural.forward(ide, x).copy()
+    raw = neural.forward(ide_steps, x).copy()
     adam = neural.init_adam(ide.params, 2e-3)
 
     def step():
-        _, grads = engines.tandem_loss_and_grads(ide, fse, qcfg, x, y, ide_scratch, fse_scratch)
+        _, grads = engines.tandem_loss_and_grads(ide_steps, fse_steps, qcfg, x, y,
+                                                 ide_scratch, fse_scratch)
         neural.adam_step(ide.params, grads, adam)
+        np.copyto(ide_steps.params, ide.params, casting="same_kind")
 
     step()
     return {"wrap": lambda: ide_output_to_angles(raw), "step": step}
@@ -70,14 +81,15 @@ def _fse_step():
     """One supervised surrogate step as ``neural.train`` runs it, with its Adam update."""
     rng = np.random.default_rng(SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
-    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20)), BATCH_DTYPE)
+    fse_steps = _step_copy(fse)
+    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20)), STEP_DTYPE)
     y = rng.uniform(0.0, 1.0, size=(FSE_BATCH, 3))
     scratch, adam = {}, neural.init_adam(fse.params, 1e-3)
 
     def step():
-        _, g_pred = neural.mse_and_grad(neural.forward(fse, x, scratch), y, scratch)
-        grads = neural.backward(fse, x, g_pred, scratch, wrt="params").params
+        _, grads = neural._supervised_loss_and_grads(fse_steps, x, y, scratch)
         neural.adam_step(fse.params, grads, adam)
+        np.copyto(fse_steps.params, fse.params, casting="same_kind")
 
     step()
     return step
@@ -89,7 +101,7 @@ def _fse_epoch():
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
     cut = FSE_ROWS[0]
     profiles = rng.integers(0, 8, size=(sum(FSE_ROWS), 20))
-    x_train = engines.profile_encoding(profiles[:cut], BATCH_DTYPE)
+    x_train = engines.profile_encoding(profiles[:cut], STEP_DTYPE)
     x_val = engines.profile_encoding(profiles[cut:])
     y = rng.uniform(0.0, 1.0, size=(sum(FSE_ROWS), 3))
     return lambda: neural.train(fse, (x_train, y[:cut]), (x_val, y[cut:]), epochs=1,
@@ -119,7 +131,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
         "fse_batch": FSE_BATCH,
-        "batch_dtype": np.dtype(BATCH_DTYPE).name,
+        "batch_dtype": np.dtype(STEP_DTYPE).name,
+        "step_network_dtype": np.dtype(STEP_DTYPE).name,
         "number": args.number,
         "repeat": args.repeat,
         "tandem_us": {k: round(v, 1) for k, v in tandem.items()},
