@@ -4,20 +4,21 @@ Stage one fits a forward surrogate (profile encoding -> normalized probe
 intensities) on measured data. Stage two trains the inverse network through
 the frozen chain
 
-    targets -> inverse mlp -> wrap to degrees -> soft quantizer
+    targets -> inverse mlp (degrees) -> soft quantizer
             -> cos/sin encoding -> frozen forward surrogate -> predicted
     loss = MSE(targets, predicted)
 
 so only the inverse network's weights move while gradients flow through every
-stage. Deployment snaps the inverse network's angles to the hard states.
+stage. The soft quantizer and the encoding are 360-periodic, so the raw
+outputs go in unwrapped; deployment snaps them to the hard states.
 
 Precision: both stages hand ``neural.train`` float32 training inputs, so
 every training step runs on a float32 copy of the network being trained,
 refreshed from its float64 master after each Adam update (see
 ``rispa.neural``). ``train_ide`` also makes one float32 copy of the frozen
 surrogate per run, and the tandem step writes the encoding straight into a
-float32 surrogate input; the wrap, the soft quantizer, the targets and the
-loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
+float32 surrogate input; the soft quantizer, the targets and the loss stay
+float64. Validation, ``fse_predict``, ``tandem_forward``,
 ``design_batch``, evaluation and model files use the float64 networks.
 """
 
@@ -35,7 +36,6 @@ from .dataio import ScatterDataset, TargetDataset, derive_seed, file_field
 from .neural import Mlp, TrainReport
 from .quantizer import (
     QuantizerConfig,
-    ide_output_to_angles,
     quantize_hard,
     quantize_soft_with_grad,
 )
@@ -202,7 +202,7 @@ def fse_predict(model: FseModel, profile) -> np.ndarray:
 def tandem_forward(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x) -> np.ndarray:
     """Surrogate prediction through the soft-quantized chain, with no scratch."""
     def chain(rows):
-        soft, _ = quantize_soft_with_grad(ide_output_to_angles(neural.forward(ide_mlp, rows)), qcfg)
+        soft, _ = quantize_soft_with_grad(neural.forward(ide_mlp, rows), qcfg)
         return neural.forward(fse_mlp, encode_phases(soft))
     return _in_chunks(chain, np.asarray(x, dtype=float))
 
@@ -219,23 +219,22 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     the surrogate, the soft angles and their derivative.
 
     Each network's passes run in the dtype of its ``params``, and the
-    encoding is stored in the surrogate's; the wrap, the soft quantizer,
-    ``y``, the loss and its gradient are float64.
+    encoding is stored in the surrogate's; the soft quantizer, ``y``, the
+    loss and its gradient are float64.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch
     x = np.atleast_2d(np.asarray(x, dtype=ide_mlp.params.dtype))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     raw = neural.forward(ide_mlp, x, ide_scratch)
-    angles = ide_output_to_angles(raw)
-    soft, soft_grad = quantize_soft_with_grad(angles, qcfg, ide_scratch)
+    soft, soft_grad = quantize_soft_with_grad(raw, qcfg, ide_scratch)
     encoded = encode_phases(soft, fse_scratch, fse_mlp.params.dtype)
     pred = neural.forward(fse_mlp, encoded, fse_scratch)
     loss, g_pred = neural.mse_and_grad(pred, y, fse_scratch)
 
     g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_scratch, wrt="inputs").inputs
     g_soft = _encode_backward(encoded, g_encoded, out=soft)
-    g_raw = np.multiply(g_soft, soft_grad, out=soft_grad)  # wrap to degrees has unit gradient
+    g_raw = np.multiply(g_soft, soft_grad, out=soft_grad)
     return loss, neural.backward(ide_mlp, x, g_raw, ide_scratch, wrt="params").params
 
 
@@ -303,7 +302,7 @@ def design_batch(ide: IdeModel, targets: np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
     return _in_chunks(
-        lambda rows: quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, rows))), targets)
+        lambda rows: quantize_hard(neural.forward(ide.mlp, rows)), targets)
 
 
 # ---------------------------------------------------------------------------

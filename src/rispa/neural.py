@@ -31,8 +31,8 @@ float32 passes over float64 weights read 0.0491.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes
-write into it: after the first step their batch-sized arrays are its buffers
-(a float32 pass still casts the float64 loss gradient afresh), and their
+write into it: after the first step their batch-sized arrays are its buffers,
+``backward``'s cast of its output gradient ``"g"`` included, and their
 results are views that the next pass with that scratch overwrites. The
 scratch is the record of the forward pass: ``backward`` reads each layer's
 input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
@@ -223,7 +223,8 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     """Exact reverse-mode gradients of the affine/ELU graph.
 
     ``grad_output`` is dLoss/dOutput at the network output (same shape as the
-    output); it and ``x`` are cast to the dtype of ``mlp.params``, as in ``forward``.
+    output); it is cast into the scratch's ``"g"`` buffer, and ``x`` as in
+    ``forward``, in the dtype of ``mlp.params``.
     Returns the parameter gradient as one flat vector laid out like
     ``mlp.params``, plus dLoss/dInput. Batched inputs sum parameter gradients
     over the batch. ``wrt="params"`` stops before the layer-0 input product
@@ -243,12 +244,13 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
         forward(mlp, x, scratch)
     x = np.atleast_2d(x)
     n = len(x)
-    g = np.atleast_2d(np.asarray(grad_output, dtype=x.dtype))
+    g = np.atleast_2d(grad_output)
     if g.shape != (n, mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
     grad = None if wrt == "inputs" else _param_grad(mlp, scratch)
-    delta = g  # identity output activation
+    delta = scratch_buffer(scratch, "g", g.shape, x.dtype)  # identity output activation
+    np.copyto(delta, g, casting="same_kind")
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
             np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=scratch[("gw", i)])

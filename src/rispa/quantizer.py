@@ -24,9 +24,9 @@ Both exps are scaled by e^{-max|a|}, which keeps tau = 0.1 deg finite. The
 sums run on real arrays in a fixed order, never as a matrix product: the
 quantizer makes no BLAS call, so its bits do not depend on the BLAS threads.
 The grid itself is ``scene.STATE_COUNT`` states of ``scene.STATE_STEP_DEG``;
-this module only reads it. Both wraps to [0, 360), of the inverse network's
-output and of the soft angle, go through ``wrap_degrees``: ``np.mod(x, 360)``
-bit for bit, in whole-array operations instead of numpy's scalar fmod loop.
+this module only reads it. The soft map reads only cos theta and sin theta:
+it takes any real angle and returns arg(z) in [-180, 180], unwrapped. Only
+``quantize_soft`` and ``quantize_hard`` reduce angles to [0, 360).
 
 A straight-through estimator (hard forward pass, identity gradient) would be
 the usual alternative; it is deliberately not implemented here because the
@@ -47,8 +47,6 @@ from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
 # cos and sin of the first half of the state phases; each state pairs with its antipode
 _PAIR_PHASES = np.radians(state_phases_deg(np.arange(STATE_COUNT // 2)))
 _PAIR_COS, _PAIR_SIN = np.cos(_PAIR_PHASES).tolist(), np.sin(_PAIR_PHASES).tolist()
-# below this magnitude 360 floor(x / 360) is an exact float64, so wrap_degrees is exact
-_EXACT_WRAP_LIMIT = 2.0 ** 40
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,11 @@ class QuantizerConfig:
 def quantize_hard(angle_deg):
     """Nearest state index under cyclic distance; ties round to the higher index mod ``STATE_COUNT``.
 
-    Accepts scalars or arrays of angles in degrees (any real value; reduced
-    cyclically). floor(angle/step + 1/2) lands exact midpoints on the upper
-    state, which is precisely the declared tie rule.
+    Accepts scalars or arrays of angles in degrees (any finite value; reduced
+    to [0, 360) first, so the index cast cannot overflow). floor(angle/step +
+    1/2) lands exact midpoints on the upper state, the declared tie rule.
     """
-    angle = np.asarray(angle_deg, dtype=float)
+    angle = np.mod(np.asarray(angle_deg, dtype=float), 360.0)
     idx = np.floor(angle / STATE_STEP_DEG + 0.5).astype(int) % STATE_COUNT
     if idx.ndim == 0:
         return int(idx)
@@ -77,20 +75,21 @@ def quantize_hard(angle_deg):
 def quantize_soft(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
     """Smooth surrogate of the hard quantizer; returns degrees in [0, 360)."""
     out, _ = quantize_soft_with_grad(angle_deg, cfg)
-    return out
+    return np.mod(out, 360.0)
 
 
 def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
                             scratch: Optional[dict] = None):
-    """Soft-quantized angle and its derivative d(out_deg)/d(angle_deg), in the paired form above.
+    """Soft-quantized angle in [-180, 180] and its derivative d(out_deg)/d(angle_deg).
 
-    Every array is written in place; with a ``scratch``, a dict as
-    ``neural.forward`` takes, they are its buffers, the results included.
+    Every array is written in place, the float64 radians first, from input of
+    any dtype; with a ``scratch``, a dict as ``neural.forward`` takes, they
+    are its buffers, the results included.
     """
-    angle = np.asarray(angle_deg, dtype=float)
+    angle = np.asarray(angle_deg)
     theta = np.atleast_1d(angle)
     buffers = (scratch_buffer(scratch, ("soft", k), theta.shape) for k in itertools.count())
-    theta = np.radians(theta, out=next(buffers))
+    theta = np.radians(theta, out=next(buffers), dtype=np.float64)
     cos_t, sin_t, tmp = np.cos(theta, out=next(buffers)), np.sin(theta, out=theta), next(buffers)
     tau = np.radians(cfg.temperature)
     a, b = [], []
@@ -110,10 +109,10 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
         down = np.exp(np.subtract(neg_m, x, out=x), out=x)
         sinh.append(np.subtract(up, down, out=next(buffers)))
         cosh_b.append(np.multiply(np.add(down, up, out=down), y, out=down))
-    # what the cos/sin, m and b arrays held is spent: they take the sums and results,
-    # and the first sinh, spent once zr and zi are summed, takes the angle before its wrap
+    # what the cos/sin and b arrays held is spent: they take the sums and the gradient,
+    # and the first sinh, spent once zr and zi are summed, takes the angle
     zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
-    out = wrap_degrees(np.degrees(np.arctan2(zi, zr, out=sinh[0]), out=sinh[0]), out=neg_m)
+    out = np.degrees(np.arctan2(zi, zr, out=sinh[0]), out=sinh[0])
     # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
     grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, b[0], tmp), out=b[0])
     grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, b[1], tmp), out=b[1])
@@ -130,31 +129,3 @@ def _pair_sum(terms, coefs, out, tmp):
         out += np.multiply(t, k, out=tmp)
     return out
 
-
-def wrap_degrees(x, out=None):
-    """``np.mod(x, 360.0)`` bit for bit, into ``out`` when given.
-
-    numpy's float remainder runs a scalar fmod loop; this is a few whole-array
-    operations. With k = floor(x / 360), x - 360 k is numpy's once-rounded
-    result: the product is exact below 2**40, and the difference is either
-    exact or the same single rounding numpy makes. Only where x / 360 rounded
-    up onto an integer is it negative, and there 360 is added. 0-d, empty and
-    non-finite input, |x| >= 2**40, and an ``out`` that overlaps ``x`` (k
-    would overwrite x before it is read) go through ``np.mod`` itself.
-    """
-    x = np.asarray(x, dtype=float)
-    if (x.ndim == 0 or x.size == 0 or (out is not None and np.may_share_memory(x, out))
-            or not -_EXACT_WRAP_LIMIT < x.min() <= x.max() < _EXACT_WRAP_LIMIT):
-        return np.mod(x, 360.0, out=out)
-    k = np.floor(np.divide(x, 360.0, out=out), out=out)
-    r = np.add(np.multiply(k, -360.0, out=k), x, out=k)
-    return np.add(r, 360.0, out=r, where=r < 0.0)
-
-
-def ide_output_to_angles(raw):
-    """Interpret raw network outputs directly as degrees, wrapped to [0, 360).
-
-    The wrap is the identity plus a constant almost everywhere, so its
-    gradient is 1 wherever it is defined.
-    """
-    return wrap_degrees(raw)

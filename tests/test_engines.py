@@ -32,7 +32,6 @@ from rispa.engines import (
 )
 from rispa.quantizer import (
     QuantizerConfig,
-    ide_output_to_angles,
     quantize_hard,
     quantize_soft_with_grad,
 )
@@ -129,7 +128,7 @@ def _plain_gradients(mlp, inputs, pre, delta):
 def _reference_tandem(ide, fse, qcfg, x, y):
     """The tandem step as plain numpy expressions around the soft quantizer: the bit reference."""
     raw, ide_inputs, ide_pre = _plain_layers(ide, x)
-    soft, soft_grad = quantize_soft_with_grad(np.mod(raw, 360.0), qcfg)
+    soft, soft_grad = quantize_soft_with_grad(raw, qcfg)
     rad = np.radians(soft)
     encoded = np.stack([np.cos(rad), np.sin(rad)], axis=-1).reshape(len(x), -1)
     pred, fse_inputs, fse_pre = _plain_layers(fse, encoded)
@@ -184,6 +183,25 @@ def test_tandem_steps_on_one_scratch_are_bit_identical_to_reference():
         ref_params, ref_state = neural.adam_step(ref_params, ref_grads, ref_state)
         assert params is ide.params
         assert np.array_equal(ide.params, ref_params)
+
+
+@pytest.mark.parametrize("shift", [360.0, -360.0])
+def test_tandem_chain_is_360_periodic_in_the_ide_output(shift):
+    # the soft quantizer and the encoding read only cos and sin, so no wrap is needed
+    ide = neural.init_mlp(ide_layer_dims(20, 3), seed=31)
+    fse = neural.init_mlp(fse_layer_dims(20, 3), seed=32)
+    shifted = ide.copy()
+    shifted.biases[-1][:] += shift
+    qcfg = QuantizerConfig(temperature=10.0)
+    rng = np.random.default_rng(34)
+    x = rng.uniform(0.0, 0.6, size=(64, 3))
+    y = rng.uniform(0.0, 0.6, size=(64, 3))
+    loss, grads = tandem_loss_and_grads(ide, fse, qcfg, x, y)
+    shifted_loss, shifted_grads = tandem_loss_and_grads(shifted, fse, qcfg, x, y)
+    assert shifted_loss == pytest.approx(loss, rel=1e-9)
+    assert np.abs(shifted_grads - grads).max() <= 1e-9 * np.abs(grads).max()
+    pred = tandem_forward(ide, fse, qcfg, x)
+    assert np.abs(tandem_forward(shifted, fse, qcfg, x) - pred).max() <= 1e-9 * np.abs(pred).max()
 
 
 # 3 warm-up steps, then the minor page faults of 20 desk-shape tandem steps on one
@@ -481,11 +499,12 @@ def test_chunked_inference_is_bit_identical_to_one_pass(untrained_models, rows):
     rng = np.random.default_rng(rows)
     targets = rng.uniform(0.0, 0.6, size=(rows, 3))
     profiles = rng.integers(0, 8, size=(rows, 20))
-    designed = quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, targets)))
+    raw = neural.forward(ide.mlp, targets)
+    designed = quantize_hard(np.mod(raw, 360.0))
     assert np.array_equal(design_batch(ide, targets), designed)
     assert np.array_equal(fse_predict(fse, profiles),
                           neural.forward(fse.mlp, profile_encoding(profiles)))
-    soft, _ = quantize_soft_with_grad(ide_output_to_angles(neural.forward(ide.mlp, targets)), qcfg)
+    soft, _ = quantize_soft_with_grad(raw, qcfg)
     assert np.array_equal(tandem_forward(ide.mlp, fse.mlp, qcfg, targets),
                           neural.forward(fse.mlp, encode_phases(soft)))
 
@@ -495,11 +514,11 @@ def test_chunked_noisy_closed_loop_eval_is_bit_identical_to_replay(untrained_mod
     scene = default_scene()  # noise_sigma 0.01
     targets = dataio.generate_targets(2100, seed=43)
     res = closed_loop_eval(ide, fse, scene, targets, noise_seed=44)
-    designed = quantize_hard(ide_output_to_angles(neural.forward(ide.mlp, targets.targets)))
+    raw = neural.forward(ide.mlp, targets.targets)
+    designed = quantize_hard(np.mod(raw, 360.0))
     assert np.array_equal(res.profiles, designed)
     assert np.array_equal(res.table[:, 3:6], neural.forward(fse.mlp, profile_encoding(designed)))
-    soft, _ = quantize_soft_with_grad(
-        ide_output_to_angles(neural.forward(ide.mlp, targets.targets)), ide.quantizer)
+    soft, _ = quantize_soft_with_grad(raw, ide.quantizer)
     pred_soft = neural.forward(fse.mlp, encode_phases(soft))
     assert soft_hard_gap_rms(ide, fse, res) == float(
         np.sqrt(np.mean((pred_soft - res.table[:, 3:6]) ** 2)))

@@ -434,15 +434,16 @@ def test_float32_scratch_buffers_are_remade_in_the_pass_dtype():
     x = np.random.default_rng(2).normal(size=(7, 4))
     scratch = {}
     # one scratch serving networks of both dtypes remakes every buffer in the network's dtype;
-    # the passes read the network's own weights, so the scratch holds no cast of them
+    # the passes read the network's own weights, so the scratch holds no cast of them, only
+    # backward's cast of the output gradient, "g"
     for dtype in (np.float64, np.float32, np.float64):
         net = networks[dtype]
         out = nn.forward(net, x, scratch)
         grads = nn.backward(net, x, np.ones_like(out), scratch)
         assert out.dtype == grads.params.dtype == grads.inputs.dtype == dtype
         assert {buf.dtype for buf in scratch.values()} == {np.dtype(dtype)}
-        assert {k if isinstance(k, str) else k[0] for k in scratch} == {"z", "h", "up", "grad",
-                                                                          "gw", "gb"}
+        assert {k if isinstance(k, str) else k[0] for k in scratch} == {"z", "h", "up", "g",
+                                                                          "grad", "gw", "gb"}
 
 
 def test_float32_input_to_a_float64_network_runs_a_float64_pass():

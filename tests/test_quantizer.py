@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from rispa.quantizer import (
     QuantizerConfig,
-    ide_output_to_angles,
     quantize_hard,
     quantize_soft,
     quantize_soft_with_grad,
-    wrap_degrees,
 )
 from rispa.scene import STATE_COUNT, state_phases_deg
 
@@ -59,6 +57,18 @@ def test_hard_output_always_in_state_set():
 def test_hard_on_state_centers_is_identity():
     states = np.arange(8)
     assert np.array_equal(quantize_hard(state_phases_deg(states)), states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_hard_reduces_any_finite_angle_first(values):
+    huge = [4e20, -4e20, 1e300, -1e300]
+    x = np.array(values + huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflowing index cast
+        assert np.array_equal(quantize_hard(x), quantize_hard(np.mod(x, 360.0)))
+        for angle in huge:
+            assert quantize_hard(angle) == quantize_hard(np.mod(angle, 360.0))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ def _paired_expression_reference(angle_deg, cfg):
         return ((terms[0] * pairs[0][k] + terms[1] * pairs[1][k]) + terms[2] * pairs[2][k]) + terms[3] * pairs[3][k]
 
     zr, zi = pair_sum(sinh, 0), pair_sum(sinh, 1)
-    out = np.degrees(np.arctan2(zi, zr)) % 360.0
+    out = np.degrees(np.arctan2(zi, zr))
     return out, (zi * pair_sum(cosh_b, 0) - zr * pair_sum(cosh_b, 1)) / (zr * zr + zi * zi)
 
 
@@ -143,13 +153,15 @@ def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
         for rows in (256, 94, 256):
             angles = rng.uniform(-720.0, 720.0, size=(rows, 20))
             angles[0, :4] = (22.5, 45.0, 0.0, -0.0)
-            for buf in scratch.values():
-                buf.fill(np.nan)  # a value left over from an earlier call would show
-            want_out, want_grad = _paired_expression_reference(angles, cfg)
-            for got_out, got_grad in (quantize_soft_with_grad(angles, cfg),
-                                      quantize_soft_with_grad(angles, cfg, scratch)):
-                assert np.array_equal(got_out, want_out)
-                assert np.array_equal(got_grad, want_grad)
+            # a float32 input, as a float32 training step's network gives, is widened exactly
+            for x in (angles, angles.astype(np.float32)):
+                for buf in scratch.values():
+                    buf.fill(np.nan)  # a value left over from an earlier call would show
+                want_out, want_grad = _paired_expression_reference(x, cfg)
+                for got_out, got_grad in (quantize_soft_with_grad(x, cfg),
+                                          quantize_soft_with_grad(x, cfg, scratch)):
+                    assert np.array_equal(got_out, want_out)
+                    assert np.array_equal(got_grad, want_grad)
 
 
 def test_soft_small_tau_converges_to_hard_center():
@@ -211,82 +223,6 @@ def test_hard_soft_consistency_at_tau_1():
     grid = _grid_excluding_ties()
     soft = quantize_soft(grid, QuantizerConfig(temperature=1.0))
     assert np.array_equal(quantize_hard(soft), quantize_hard(grid))
-
-
-# ---------------------------------------------------------------------------
-# raw output wrapping
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("raw,expected", [(0.0, 0.0), (405.0, 45.0), (-45.0, 315.0)])
-def test_ide_output_wraps_cyclically(raw, expected):
-    assert ide_output_to_angles(raw) == pytest.approx(expected)
-
-
-def _assert_wrap_is_np_mod(x):
-    x = np.asarray(x, dtype=float)
-    assert wrap_degrees(x).tobytes() == np.mod(x, 360.0).tobytes()
-
-
-@settings(max_examples=500, deadline=None)
-@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64)
-       | st.lists(st.integers(0, 2 ** 64 - 1).map(lambda u: float(np.uint64(u).view(np.float64)))
-                  .filter(math.isfinite), min_size=1, max_size=64))
-def test_wrap_is_np_mod_on_any_finite_float(values):
-    x = np.array(values)
-    _assert_wrap_is_np_mod(x)
-    _assert_wrap_is_np_mod(x[np.abs(x) < 2.0 ** 40])  # the vectorized path, not the fallback
-    _assert_wrap_is_np_mod(-x)
-    _assert_wrap_is_np_mod([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, np.finfo(float).max])
-
-
-def test_wrap_is_np_mod_next_to_every_multiple_of_360():
-    # a neighbour of 360 k is where x / 360 can round onto the integer k
-    multiples = np.arange(-10 ** 6, 10 ** 6 + 1) * 360.0
-    _assert_wrap_is_np_mod(multiples)
-    for direction in (np.inf, -np.inf):
-        _assert_wrap_is_np_mod(np.nextafter(multiples, direction))
-        _assert_wrap_is_np_mod(np.nextafter(np.nextafter(multiples, direction), direction))
-    edge = 2.0 ** 40
-    _assert_wrap_is_np_mod([np.nextafter(edge, 0.0), edge, -np.nextafter(edge, 0.0), -edge, 1e-300, -1e-300])
-    # one binade at a time, so that a cutoff set too high would send some through the fast path
-    for exponent in range(30, 64):
-        binade = np.exp2(np.linspace(exponent, exponent + 1, 3001)[:-1]) + 0.5
-        _assert_wrap_is_np_mod(binade)
-        _assert_wrap_is_np_mod(-binade)
-
-
-@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
-def test_wrap_of_non_finite_warns_as_np_mod(special):
-    x = np.array([special, 1.0, -1.0, 725.0])
-    with warnings.catch_warnings(record=True) as got:
-        warnings.simplefilter("always")
-        out = wrap_degrees(x)
-    with warnings.catch_warnings(record=True) as want:
-        warnings.simplefilter("always")
-        ref = np.mod(x, 360.0)
-    assert out.tobytes() == ref.tobytes()
-    assert [(w.category, str(w.message)) for w in got] == [(w.category, str(w.message)) for w in want]
-
-
-def test_wrap_of_0d_empty_and_into_out():
-    for scalar in (-45.0, 405.0, -0.0, np.nextafter(-720.0, 0.0)):
-        got, want = wrap_degrees(scalar), np.mod(scalar, 360.0)
-        assert np.shape(got) == () and got.tobytes() == want.tobytes()
-    assert wrap_degrees(np.empty((0, 20))).shape == (0, 20)
-    x = np.random.default_rng(7).uniform(-1e6, 1e6, size=(256, 20))
-    x[0, :3] = (-0.0, 360.0, -360.0)
-    out = np.full_like(x, np.nan)
-    assert wrap_degrees(x, out=out) is out
-    assert out.tobytes() == np.mod(x, 360.0).tobytes()
-    strided = out[:, :7]
-    assert wrap_degrees(x[:, ::3], out=strided) is strided
-    assert strided.tobytes() == np.mod(x[:, ::3], 360.0).tobytes()
-    want = np.mod(x, 360.0)
-    assert wrap_degrees(x, out=x) is x  # in place, as np.mod allows
-    assert x.tobytes() == want.tobytes()
-    y = np.random.default_rng(8).uniform(-1e6, 1e6, size=(256, 21))
-    want = np.mod(y[:, :20], 360.0)
-    assert wrap_degrees(y[:, :20], out=y[:, 1:]).tobytes() == want.tobytes()  # shifted overlap
 
 
 def test_quantizer_config_validation():

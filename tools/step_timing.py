@@ -1,12 +1,12 @@
 """In-process timings of one desk training step.
 
 Times, on warm scratches, what ``perfbench --trace 1`` cannot show apart:
-the wrap of the inverse network's output to degrees, one whole desk-shaped
-tandem step (batch 256: the inverse network trained through the frozen
-surrogate, with its Adam update), one whole desk-shaped surrogate step
-(batch 128: ``forward``, ``mse_and_grad``, the parameter-only ``backward``
-and Adam) and one desk-shaped surrogate epoch of ``neural.train`` itself
-(1,620 rows at batch 128, then 180 validation rows). The steps run as
+one whole desk-shaped tandem step (batch 256: the inverse network trained
+through the frozen surrogate, with its Adam update), one whole desk-shaped
+surrogate step (batch 128: ``forward``, ``mse_and_grad``, the
+parameter-only ``backward`` and Adam) and one desk-shaped surrogate epoch
+of ``neural.train`` itself (1,620 rows at batch 128, then 180 validation
+rows). The steps run as
 ``neural.train`` runs them on the float32 training inputs of
 ``engines.train_fse`` and ``engines.train_ide``: on float32 copies of the
 networks, with float32 input batches and float64 targets, and each step
@@ -40,7 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rispa import engines, neural  # noqa: E402
-from rispa.quantizer import QuantizerConfig, ide_output_to_angles  # noqa: E402
+from rispa.quantizer import QuantizerConfig  # noqa: E402
 
 TANDEM_BATCH = 256   # the desk preset's batch_ide
 FSE_BATCH = 128      # the desk preset's batch_fse
@@ -54,8 +54,8 @@ def _step_copy(mlp):
     return neural.Mlp(mlp.layer_dims, mlp.params.astype(STEP_DTYPE))
 
 
-def _tandem_kernels():
-    """Name -> callable for the wrap and for one whole tandem step."""
+def _tandem_step():
+    """One whole tandem step as ``neural.train`` runs it, with its Adam update."""
     rng = np.random.default_rng(SEED)
     ide = neural.init_mlp(engines.ide_layer_dims(), seed=SEED)
     ide_steps = _step_copy(ide)
@@ -64,7 +64,6 @@ def _tandem_kernels():
     y = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
     x = y.astype(STEP_DTYPE)
     ide_scratch, fse_scratch = {}, {}
-    raw = neural.forward(ide_steps, x).copy()
     adam = neural.init_adam(ide.params, 2e-3)
 
     def step():
@@ -74,7 +73,7 @@ def _tandem_kernels():
         np.copyto(ide_steps.params, ide.params, casting="same_kind")
 
     step()
-    return {"wrap": lambda: ide_output_to_angles(raw), "step": step}
+    return step
 
 
 def _fse_step():
@@ -120,10 +119,8 @@ def main(argv=None) -> int:
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be >= 1")
 
-    tandem = {}
-    for name, fn in _tandem_kernels().items():
-        tandem[name] = _best_us(fn, args.number, args.repeat)
-        print(f"tandem {name:5s} {tandem[name]:10.1f} us", flush=True)
+    tandem_step = _best_us(_tandem_step(), args.number, args.repeat)
+    print(f"tandem {'step':5s} {tandem_step:10.1f} us", flush=True)
     fse_step = _best_us(_fse_step(), args.number, args.repeat)
     print(f"fse    {'step':5s} {fse_step:10.1f} us", flush=True)
     fse_epoch = _best_us(_fse_epoch(), max(1, args.number // 10), args.repeat)
@@ -135,7 +132,7 @@ def main(argv=None) -> int:
         "step_network_dtype": np.dtype(STEP_DTYPE).name,
         "number": args.number,
         "repeat": args.repeat,
-        "tandem_us": {k: round(v, 1) for k, v in tandem.items()},
+        "tandem_step_us": round(tandem_step, 1),
         "fse_step_us": round(fse_step, 1),
         "fse_epoch_rows": list(FSE_ROWS),
         "fse_epoch_us": round(fse_epoch, 1),
