@@ -12,13 +12,11 @@ so only the inverse network's weights move while gradients flow through every
 stage. The soft quantizer and the encoding are 360-periodic, so the raw
 outputs go in unwrapped; deployment snaps them to the hard states.
 
-Precision: both stages hand ``neural.train`` float32 training inputs, so
-every training step runs on a float32 copy of the network being trained,
-refreshed from its float64 master after each Adam update (see
-``rispa.neural``). ``train_ide`` also makes one float32 copy of the frozen
-surrogate per run, and the tandem step writes the encoding straight into a
-float32 surrogate input; the soft quantizer, the targets and the loss stay
-float64. Validation, ``fse_predict``, ``tandem_forward``,
+Precision: ``neural.train`` runs every training step in float32 (see
+``rispa.neural``). For those steps ``train_ide`` makes one float32 copy of
+the frozen surrogate per run, and the tandem step writes the encoding
+straight into a float32 surrogate input; the soft quantizer, the targets
+and the loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
 ``design_batch``, evaluation and model files use the float64 networks.
 """
 
@@ -142,9 +140,9 @@ def _in_chunks(fn, x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def profile_encoding(profiles, dtype=neural.FLOAT64) -> np.ndarray:
-    """Encoding of discrete state profiles (via their 45-degree phases), stored in ``dtype``."""
-    return encode_phases(state_phases_deg(np.asarray(profiles)), dtype=dtype)
+def profile_encoding(profiles) -> np.ndarray:
+    """Encoding of discrete state profiles (via their 45-degree phases)."""
+    return encode_phases(state_phases_deg(np.asarray(profiles)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +157,13 @@ def train_fse(
     batch_size: int,
     seed: int = 0,
 ) -> Tuple[FseModel, TrainReport]:
-    """Supervised regression from encoded profiles to normalized intensities.
-
-    The training inputs are float32, so every training step's passes run in
-    float32; targets, validation and the model stay float64.
-    """
+    """Supervised regression from encoded profiles to normalized intensities."""
     cols = train_set.profiles.shape[1]
     probes = train_set.raw.shape[1]
     mlp = neural.init_mlp(fse_layer_dims(cols, probes), seed=seed)
     report = neural.train(
         mlp,
-        (profile_encoding(train_set.profiles, neural.FLOAT32), train_set.normalized),
+        (profile_encoding(train_set.profiles), train_set.normalized),
         (profile_encoding(val_set.profiles), val_set.normalized),
         epochs=epochs,
         batch_size=batch_size,
@@ -251,9 +245,9 @@ def train_ide(
     """Train the inverse network against the frozen surrogate.
 
     The surrogate's parameters are digest-checked before and after; any
-    drift is a bug, not a tolerance. As in ``train_fse``, the training inputs
-    are float32 and validation is float64; the steps read a float32 copy of
-    the surrogate, made once here.
+    drift is a bug, not a tolerance. The training steps, which
+    ``neural.train`` runs in float32, read a float32 copy of the surrogate,
+    made once here.
     """
     qcfg = qcfg or QuantizerConfig()
     probes = train_targets.targets.shape[1]
@@ -263,7 +257,7 @@ def train_ide(
     fse_steps = Mlp(list(fse.mlp.layer_dims), fse.mlp.params.astype(neural.FLOAT32))
     report = neural.train(
         ide_mlp,
-        (train_targets.targets.astype(neural.FLOAT32), train_targets.targets),
+        (train_targets.targets, train_targets.targets),
         (val_targets.targets, val_targets.targets),
         epochs=epochs,
         batch_size=batch_size,
@@ -330,14 +324,13 @@ def closed_loop_eval(
 
     Measurements are normalized by the surrogate's training i_max (targets are
     defined on that scale). When the scene is noisy and ``noise_seed`` is set,
-    each measurement uses a per-record derived seed.
+    each measurement uses a per-record derived seed. Whether ``ide`` was
+    trained against ``fse`` is not checked here; the CLI refuses a mismatch.
     """
     if len(targets) == 0:
         raise ValueError("empty target set")
     if not fse.i_max > 0.0:
         raise ValueError("i_max must be positive")
-    if ide.fse_digest and ide.fse_digest != fse.digest():
-        warnings.warn("inverse network was trained against a different surrogate", stacklevel=2)
 
     t = targets.targets
     profiles = design_batch(ide, t)

@@ -15,13 +15,12 @@ so fixed seeds give bit-identical histories.
 
 Precision: a pass computes in the dtype of its network's ``params``. An
 ``Mlp`` keeps float32 ``params`` as float32 and makes anything else float64,
-and a pass casts its input to that dtype. ``train`` runs the steps of a run
-with float32 training inputs on a float32 copy of the model, made once and
-refreshed from the float64 master after each Adam update; float64 inputs
-run on the master itself, bit for bit as before float32 steps existed.
-``engines`` hands ``train`` float32 training inputs, so the network passes
-of every training step run in float32. What is stored, compared or
-optimized stays float64: the master ``params``, Adam's moments and update
+and a pass casts its input to that dtype. ``train`` alone decides the
+training precision: it casts the training inputs to float32 and runs every
+step on a float32 copy of the model, made once per run and refreshed from
+the float64 master after each Adam update, so the network passes of every
+training step run in float32. What is stored, compared or optimized stays
+float64: the master ``params``, Adam's moments and update
 (``adam_step`` upcasts a float32 gradient exactly), targets, losses and
 their gradient, validation, inference and model files. The master weights
 stay float64 because an Adam update far below a weight's float32 spacing
@@ -363,13 +362,12 @@ def train(
     """Minibatch Adam training with per-epoch validation and best-val snapshot.
 
     ``train_pairs``/``val_pairs`` are non-empty (inputs, targets) arrays.
-    Float32 training inputs stay float32; any other inputs, and all targets,
-    are converted to float64. The steps of a run with float32 inputs get a
-    float32 copy of the float64 master network, made once and refreshed from
-    it after each Adam update, so their passes run in float32; otherwise they
-    get the master itself. Adam, validation, the best snapshot and the
-    returned model use the master. The objective is batch-mean MSE against
-    the targets, by default of the network output. The tandem stage trains
+    The training inputs are cast to float32 and the targets to float64. The
+    steps get a float32 copy of the float64 master network, made once and
+    refreshed from it after each Adam update, so their passes run in
+    float32. Adam, validation, the best snapshot and the returned model use
+    the master. The objective is batch-mean MSE against the targets, by
+    default of the network output. The tandem stage trains
     through frozen downstream stages by supplying ``predict_fn(model, x=...)``,
     the derivative-free prediction validation scores, and
     ``loss_and_grads_fn(model, x=..., y=...)``, the training loss with its
@@ -385,8 +383,7 @@ def train(
     loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
     x_val, y_val = val_pairs
-    x_train = np.asarray(x_train)
-    x_train = x_train if x_train.dtype == FLOAT32 else x_train.astype(FLOAT64, copy=False)
+    x_train = np.asarray(x_train, dtype=FLOAT32)
     y_train = np.asarray(y_train, dtype=float)
     n = x_train.shape[0]
     if n == 0:
@@ -398,7 +395,7 @@ def train(
 
     rng = np.random.default_rng(seed)
     model = Mlp(list(mlp.layer_dims), mlp.params.astype(FLOAT64))
-    steps = model if x_train.dtype == FLOAT64 else Mlp(model.layer_dims, model.params.astype(FLOAT32))
+    steps = Mlp(model.layer_dims, model.params.astype(FLOAT32))
     state = init_adam(model.params, learning_rate)
     train_losses: List[float] = []
     val_losses: List[float] = []
@@ -424,8 +421,8 @@ def train(
                 adam_step(model.params, grads, state)
             except TrainingDiverged as e:
                 raise TrainingDiverged(f"{e} at epoch {epoch}", train_losses, val_losses) from e
-            if steps is not model:  # Adam is the master's only writer; the copy follows it
-                np.copyto(steps.params, model.params, casting="same_kind")
+            # Adam is the master's only writer; the copy follows it
+            np.copyto(steps.params, model.params, casting="same_kind")
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         # x stays positional: perfbench's tracer counts rows from forward's second argument

@@ -74,8 +74,9 @@ def quantize_hard(angle_deg):
 
 def quantize_soft(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
     """Smooth surrogate of the hard quantizer; returns degrees in [0, 360)."""
-    out, _ = quantize_soft_with_grad(angle_deg, cfg)
-    return np.mod(out, 360.0)
+    out = np.mod(quantize_soft_with_grad(angle_deg, cfg)[0], 360.0)
+    # np.mod rounds an arg(z) just below 0 up to 360.0, which is 0 on the circle
+    return np.where(out == 360.0, 0.0, out)[()]
 
 
 def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),

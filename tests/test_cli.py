@@ -268,6 +268,22 @@ def test_scene_digest_mismatch_is_reported_once(tmp_path):
     assert len(warnings) == 1 and "digest mismatch" in warnings[0], forced.stderr
 
 
+def test_surrogate_mismatch_is_reported_once(tmp_path):
+    # retraining the surrogate alone leaves an inverse network trained against another one
+    assert run_cli(["pipeline", "--seed", "5", *TINY], tmp_path) == 0
+    assert run_cli(["train-fse", "--seed", "5", "--lr-fse", "2e-3", *TINY], tmp_path) == 0
+    evaluate = [sys.executable, "-m", "rispa.cli", "eval", "--seed", "5", *TINY,
+                "--out", str(tmp_path)]
+    refused = subprocess.run(evaluate, capture_output=True, text=True)
+    assert refused.returncode == cli.EXIT_CONFIG
+    assert len(refused.stderr.splitlines()) == 1 and "different surrogate" in refused.stderr
+    forced = subprocess.run([*evaluate, "--force"], capture_output=True, text=True)
+    assert forced.returncode == 0
+    warnings = [line for line in forced.stderr.splitlines() if line.startswith("WARNING")]
+    assert len(warnings) == 1 and "different surrogate" in warnings[0], forced.stderr
+    assert "UserWarning" not in forced.stderr
+
+
 def test_explicit_scene_file_and_rispa_out_env(tmp_path, monkeypatch):
     scene_path = tmp_path / "scene.json"
     save_scene(default_scene(), scene_path)

@@ -541,14 +541,6 @@ def test_design_batch_warns_once_over_chunks(untrained_models):
     assert [str(w.message) for w in caught] == ["targets outside trained range [0.0, 0.6]"]
 
 
-def test_mismatched_surrogate_warns(tiny_tandem):
-    scene, fse, ide, _, targets = tiny_tandem
-    other = FseModel(mlp=neural.init_mlp([40, 100, 100, 3], seed=99),
-                     column_count=20, i_max=fse.i_max)
-    with pytest.warns(UserWarning, match="different surrogate"):
-        closed_loop_eval(ide, other, scene, targets.subset(np.arange(3)))
-
-
 # ---------------------------------------------------------------------------
 # model bundle files
 # ---------------------------------------------------------------------------

@@ -260,18 +260,23 @@ def test_backward_rejects_an_unknown_wrt():
 
 
 def _plain_loss_and_grads(mlp, x, y):
-    """The supervised step as plain numpy expressions with fresh arrays: the bit reference."""
+    """The supervised step as plain numpy expressions with fresh arrays: the bit reference.
+
+    The passes run in the dtype of ``mlp.params`` and ``x``; the loss and its
+    gradient are float64, and the gradient is cast to that dtype for backward.
+    """
     inputs, pre, h = [], [], x
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         z = h @ w.T + b
         inputs.append(h)
         pre.append(z)
-        h = nn.elu(z) if i < len(mlp.weights) - 1 else z
-    delta, parts = 2.0 * (h - y) / h.size, []
+        # nn.elu's expression, without its cast to float64
+        h = np.expm1(np.minimum(z, 0.0)) + np.maximum(z, 0.0) if i < len(mlp.weights) - 1 else z
+    delta, parts = (2.0 * (h - y) / h.size).astype(mlp.params.dtype), []
     for i in range(len(mlp.weights) - 1, -1, -1):
         parts = [(delta.T @ inputs[i]).ravel(), delta.sum(axis=0)] + parts
         if i > 0:
-            delta = (delta @ mlp.weights[i]) * nn.elu_grad(pre[i - 1])
+            delta = (delta @ mlp.weights[i]) * np.exp(np.minimum(pre[i - 1], 0.0))
     return float(np.mean((h - y) ** 2)), np.concatenate(parts)
 
 
@@ -611,6 +616,30 @@ def test_train_zero_epochs_returns_initial_parameters():
     assert np.array_equal(report.model.params, mlp.params)
 
 
+def _plain_train(mlp, x, y, x_val, y_val, epochs, batch_size, learning_rate, seed, step_dtype):
+    """``nn.train`` as a plain loop, with steps on a ``step_dtype`` copy of the float64 master.
+
+    The copy is made afresh from the master after each Adam update. Returns
+    the training and validation losses and the master's parameters after each epoch.
+    """
+    model, order, n = mlp.copy(), np.random.default_rng(seed), len(x)
+    state = nn.init_adam(model.params, learning_rate=learning_rate)
+    steps, x_steps = nn.Mlp(model.layer_dims, model.params.astype(step_dtype)), x.astype(step_dtype)
+    train_losses, val_losses, snapshots = [], [], []
+    for _ in range(epochs):
+        perm, sq_sum = order.permutation(n), 0.0
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            loss, grads = _plain_loss_and_grads(steps, x_steps[idx], y[idx])
+            nn.adam_step(model.params, grads, state)
+            steps = nn.Mlp(model.layer_dims, model.params.astype(step_dtype))
+            sq_sum += loss * len(idx)
+        train_losses.append(sq_sum / n)
+        val_losses.append(float(np.mean((nn.forward(model, x_val) - y_val) ** 2)))
+        snapshots.append(model.params.copy())
+    return train_losses, val_losses, snapshots
+
+
 def test_train_is_bit_identical_to_a_plain_loop():
     # the desk FSE's layout, 300 rows at batch 128: two full batches and a short one
     rng = np.random.default_rng(51)
@@ -619,20 +648,9 @@ def test_train_is_bit_identical_to_a_plain_loop():
     mlp = nn.init_mlp([40, 100, 100, 3], seed=52)
     report = nn.train(mlp, (x, y), (x_val, y_val), epochs=3, batch_size=128,
                       learning_rate=1e-2, seed=53)
-
-    model, order = mlp.copy(), np.random.default_rng(53)
-    state = nn.init_adam(model.params, learning_rate=1e-2)
-    train_losses, val_losses, snapshots = [], [], []
-    for _ in range(3):
-        perm, sq_sum = order.permutation(300), 0.0
-        for start in range(0, 300, 128):
-            idx = perm[start:start + 128]
-            loss, grads = _plain_loss_and_grads(model, x[idx], y[idx])
-            nn.adam_step(model.params, grads, state)
-            sq_sum += loss * len(idx)
-        train_losses.append(sq_sum / 300)
-        val_losses.append(float(np.mean((nn.forward(model, x_val) - y_val) ** 2)))
-        snapshots.append(model.params.copy())
+    train_losses, val_losses, snapshots = _plain_train(mlp, x, y, x_val, y_val, epochs=3,
+                                                       batch_size=128, learning_rate=1e-2,
+                                                       seed=53, step_dtype=np.float32)
     assert report.train_losses == train_losses
     assert report.val_losses == val_losses
     assert report.best_epoch == int(np.argmin(val_losses))
@@ -666,7 +684,7 @@ def test_train_is_deterministic():
 
 
 def test_float32_training_is_bit_identical_when_repeated():
-    # the desk FSE's layout, float32 inputs: float32 steps over float64 master weights
+    # the desk FSE's layout: float32 steps over float64 master weights
     rng = np.random.default_rng(54)
     x, y = rng.uniform(-1.0, 1.0, size=(300, 40)), rng.uniform(0.0, 1.0, size=(300, 3))
     mlp = nn.init_mlp([40, 100, 100, 3], seed=55)
@@ -676,17 +694,28 @@ def test_float32_training_is_bit_identical_when_repeated():
     assert reports[0].val_losses == reports[1].val_losses
     assert reports[0].model.params.dtype == np.float64
     assert reports[0].model.params.tobytes() == reports[1].model.params.tobytes()
-    # the float32 run differs from the float64 one, so the inputs' dtype did set the precision
-    float64_run = nn.train(mlp, (x, y), (x[:40], y[:40]), epochs=3, batch_size=128,
-                           learning_rate=1e-2, seed=56)
-    assert float64_run.train_losses != reports[0].train_losses
-    assert float64_run.train_losses == pytest.approx(reports[0].train_losses, rel=1e-4)
+    # and it stays close to the same loop with float64 steps
+    float64_losses = _plain_train(mlp, x, y, x[:40], y[:40], epochs=3, batch_size=128,
+                                  learning_rate=1e-2, seed=56, step_dtype=np.float64)[0]
+    assert float64_losses == pytest.approx(reports[0].train_losses, rel=1e-4)
+
+
+def test_train_is_bit_identical_for_float32_and_float64_inputs():
+    # train casts the inputs itself, so their dtype picks nothing
+    rng = np.random.default_rng(60)
+    x, y = rng.uniform(-1.0, 1.0, size=(300, 40)), rng.uniform(0.0, 1.0, size=(300, 3))
+    mlp = nn.init_mlp([40, 100, 100, 3], seed=61)
+    r64, r32 = (nn.train(mlp, (inputs, y), (x[:40], y[:40]), epochs=2, batch_size=128,
+                         learning_rate=1e-2, seed=62) for inputs in (x, x.astype(np.float32)))
+    assert r64.train_losses == r32.train_losses
+    assert r64.val_losses == r32.val_losses
+    assert r64.model.params.tobytes() == r32.model.params.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-def test_training_steps_get_the_master_weights_in_the_dtype_of_the_inputs(monkeypatch, dtype):
-    # float32 inputs: the steps get one float32 copy of the master, refreshed after each Adam
-    # update; float64 inputs: the master itself. Adam, validation and the result use the master.
+def test_training_steps_get_a_float32_copy_of_the_master_for_any_input_dtype(monkeypatch, dtype):
+    # the steps get one float32 copy of the master, refreshed after each Adam update, whatever
+    # the dtype of the inputs. Adam, validation and the result use the master.
     rng = np.random.default_rng(57)
     x, y = rng.uniform(-1.0, 1.0, size=(50, 3)), rng.normal(size=(50, 2))
     mlp = nn.init_mlp([3, 8, 2], seed=58)
@@ -699,8 +728,8 @@ def test_training_steps_get_the_master_weights_in_the_dtype_of_the_inputs(monkey
 
     def spy_step(model, x, y):
         master = updated[-1] if updated else mlp.params  # before the first update: the start
-        assert model.params.dtype == dtype
-        assert model.params.tobytes() == master.astype(dtype).tobytes()
+        assert model.params.dtype == np.float32
+        assert model.params.tobytes() == master.astype(np.float32).tobytes()
         stepped.append(model)
         return nn._supervised_loss_and_grads(model, x, y)
 
@@ -714,7 +743,7 @@ def test_training_steps_get_the_master_weights_in_the_dtype_of_the_inputs(monkey
                       loss_and_grads_fn=spy_step)
     assert len(stepped) == len(updated) == 3 * 4 and len(validated) == 3
     assert all(s is stepped[0] for s in stepped)
-    assert (stepped[0] is report.model) == (dtype == np.float64)
+    assert stepped[0] is not report.model
     assert all(p is report.model.params for p in updated)
     assert all(v is report.model for v in validated)
     assert report.model.params.dtype == np.float64

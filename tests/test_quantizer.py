@@ -200,6 +200,18 @@ def test_soft_is_360_periodic():
     assert _circ_diff(a, c).max() < 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(turns=st.integers(-3, 3), offset=st.floats(-1e-9, 1e-9))
+def test_soft_stays_in_0_360_just_below_a_turn(turns, offset):
+    # arg(z) a hair below 0 must not come back as 360.0, from a scalar or an array
+    angles = np.array([-1e-14, 360.0 - 1e-14, 720.0 - 1e-13, 360.0 * turns + offset])
+    out = quantize_soft(angles)
+    assert np.all((out >= 0.0) & (out < 360.0)), out
+    for angle, want in zip(angles, out):
+        got = quantize_soft(angle)
+        assert np.ndim(got) == 0 and got == want
+
+
 def _grid_excluding_ties():
     grid = np.arange(0.0, 360.0, 1.0)
     dist_to_center = np.abs((grid - 22.5) % 45.0 - 22.5)

@@ -6,13 +6,12 @@ through the frozen surrogate, with its Adam update), one whole desk-shaped
 surrogate step (batch 128: ``forward``, ``mse_and_grad``, the
 parameter-only ``backward`` and Adam) and one desk-shaped surrogate epoch
 of ``neural.train`` itself (1,620 rows at batch 128, then 180 validation
-rows). The steps run as
-``neural.train`` runs them on the float32 training inputs of
-``engines.train_fse`` and ``engines.train_ide``: on float32 copies of the
-networks, with float32 input batches and float64 targets, and each step
-ends by refreshing the trained network's copy from its float64 master after
-Adam has updated that. The epoch's validation inputs are float64, as in a
-run.
+rows). The steps run as ``neural.train`` runs them: on copies of the
+networks in its step dtype (``neural.FLOAT32``), with input batches in that
+dtype and float64 targets, and each step ends by refreshing the trained
+network's copy from its float64 master after Adam has updated that. The
+epoch gets float64 inputs, as ``engines.train_fse`` passes them, and
+``neural.train`` casts them.
 The trace already reports the self time of the soft quantizer, the encoding
 and each network pass. Each line gives one timing in microseconds per call,
 the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
@@ -46,12 +45,11 @@ TANDEM_BATCH = 256   # the desk preset's batch_ide
 FSE_BATCH = 128      # the desk preset's batch_fse
 FSE_ROWS = (1620, 180)  # the desk preset's surrogate training and validation split of 2,000
 SEED = 0             # picks the weights and inputs only
-STEP_DTYPE = np.float32  # the dtype of a training step's network copies and input batch
 
 
 def _step_copy(mlp):
     """A training step's copy of ``mlp``, as ``neural.train`` makes it."""
-    return neural.Mlp(mlp.layer_dims, mlp.params.astype(STEP_DTYPE))
+    return neural.Mlp(mlp.layer_dims, mlp.params.astype(neural.FLOAT32))
 
 
 def _tandem_step():
@@ -62,7 +60,7 @@ def _tandem_step():
     fse_steps = _step_copy(neural.init_mlp(engines.fse_layer_dims(), seed=SEED + 1))
     qcfg = QuantizerConfig()
     y = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
-    x = y.astype(STEP_DTYPE)
+    x = y.astype(neural.FLOAT32)
     ide_scratch, fse_scratch = {}, {}
     adam = neural.init_adam(ide.params, 2e-3)
 
@@ -81,7 +79,7 @@ def _fse_step():
     rng = np.random.default_rng(SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
     fse_steps = _step_copy(fse)
-    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20)), STEP_DTYPE)
+    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20))).astype(neural.FLOAT32)
     y = rng.uniform(0.0, 1.0, size=(FSE_BATCH, 3))
     scratch, adam = {}, neural.init_adam(fse.params, 1e-3)
 
@@ -100,7 +98,7 @@ def _fse_epoch():
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
     cut = FSE_ROWS[0]
     profiles = rng.integers(0, 8, size=(sum(FSE_ROWS), 20))
-    x_train = engines.profile_encoding(profiles[:cut], STEP_DTYPE)
+    x_train = engines.profile_encoding(profiles[:cut])
     x_val = engines.profile_encoding(profiles[cut:])
     y = rng.uniform(0.0, 1.0, size=(sum(FSE_ROWS), 3))
     return lambda: neural.train(fse, (x_train, y[:cut]), (x_val, y[cut:]), epochs=1,
@@ -128,8 +126,8 @@ def main(argv=None) -> int:
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
         "fse_batch": FSE_BATCH,
-        "batch_dtype": np.dtype(STEP_DTYPE).name,
-        "step_network_dtype": np.dtype(STEP_DTYPE).name,
+        "batch_dtype": neural.FLOAT32.name,
+        "step_network_dtype": neural.FLOAT32.name,
         "number": args.number,
         "repeat": args.repeat,
         "tandem_step_us": round(tandem_step, 1),
