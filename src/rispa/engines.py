@@ -9,14 +9,16 @@ the frozen chain
     loss = MSE(targets, predicted)
 
 so only the inverse network's weights move while gradients flow through every
-stage. The soft quantizer and the encoding are 360-periodic, so the raw
+stage. A training step takes the cos/sin encoding as the quantizer's unit
+phasor z/|z|, with no angle in between; ``tandem_forward`` encodes the soft
+angle. The soft quantizer and the encoding are 360-periodic, so the raw
 outputs go in unwrapped; deployment snaps them to the hard states.
 
 Precision: ``neural.train`` runs every training step in float32 (see
 ``rispa.neural``). For those steps ``train_ide`` makes one float32 copy of
-the frozen surrogate per run, and the tandem step writes the encoding
-straight into a float32 surrogate input; the soft quantizer, the targets
-and the loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
+the frozen surrogate per run, and the soft quantizer writes its phasor
+straight into a float32 surrogate input; the quantizer, the targets and the
+loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
 ``design_batch``, evaluation and model files use the float64 networks.
 """
 
@@ -36,6 +38,7 @@ from .quantizer import (
     QuantizerConfig,
     quantize_hard,
     quantize_soft_with_grad,
+    soft_phasor_with_grad,
 )
 from .scene import (
     STATE_COUNT,
@@ -90,17 +93,15 @@ class IdeModel:
     seed: int = 0
 
 
-def encode_phases(angles_deg, scratch: Optional[dict] = None, dtype=neural.FLOAT64) -> np.ndarray:
+def encode_phases(angles_deg) -> np.ndarray:
     """Interleave [cos phi_1, sin phi_1, ..., cos phi_N, sin phi_N].
 
     Splitting the cyclic phase into its cosine and sine removes the wrap
     discontinuity from the surrogate's input space. Works on single profiles
-    or (batch, N) arrays; a (batch, N) encoding can go into the buffers of
-    the surrogate's ``scratch``. cos and sin are taken in float64 and stored
-    in ``dtype``, the dtype of the surrogate pass that reads them.
+    or (batch, N) arrays.
     """
-    rad = np.radians(np.asarray(angles_deg, dtype=float))
-    out = neural.scratch_buffer(scratch, "x", rad.shape[:-1] + (2 * rad.shape[-1],), dtype)
+    rad = np.asarray(angles_deg, dtype=float) * (np.pi / 180.0)
+    out = np.empty(rad.shape[:-1] + (2 * rad.shape[-1],))
     np.cos(rad, out=out[..., 0::2])
     np.sin(rad, out=out[..., 1::2])
     return out
@@ -109,11 +110,11 @@ def encode_phases(angles_deg, scratch: Optional[dict] = None, dtype=neural.FLOAT
 def _encode_backward(encoded: np.ndarray, grad_encoded: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Pull gradients from the cos/sin features back to angles in degrees, into ``out``.
 
-    ``encoded`` is the ``encode_phases`` output, whose cos/sin columns are
-    exactly the derivative factors, so nothing is recomputed. The products
-    are made in ``grad_encoded``, which is spent; cos g_sin - sin g_cos has
-    the bits of -sin g_cos + cos g_sin, since IEEE negation and commuted
-    products and sums are exact.
+    ``encoded`` holds the cos/sin columns, of ``encode_phases`` or of the soft
+    quantizer's unit phasor z/|z|; they are exactly the derivative factors,
+    so nothing is recomputed. The products are made in ``grad_encoded``,
+    which is spent; cos g_sin - sin g_cos has the bits of -sin g_cos +
+    cos g_sin, since IEEE negation and commuted products and sums are exact.
     """
     g_cos, g_sin = grad_encoded[..., 0::2], grad_encoded[..., 1::2]
     g_cos *= encoded[..., 1::2]
@@ -210,10 +211,10 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     produced; the surrogate contributes its input gradient and is never
     updated. Without scratches the step uses fresh ones. The backward half
     writes into buffers the forward half has spent: the input gradient of
-    the surrogate, the soft angles and their derivative.
+    the surrogate, a soft quantizer buffer and the soft derivative.
 
-    Each network's passes run in the dtype of its ``params``, and the
-    encoding is stored in the surrogate's; the soft quantizer, ``y``, the
+    Each network's passes run in the dtype of its ``params``, and the soft
+    phasor is stored in the surrogate's; the soft quantizer, ``y``, the
     loss and its gradient are float64.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
@@ -221,13 +222,13 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     x = np.atleast_2d(np.asarray(x, dtype=ide_mlp.params.dtype))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     raw = neural.forward(ide_mlp, x, ide_scratch)
-    soft, soft_grad = quantize_soft_with_grad(raw, qcfg, ide_scratch)
-    encoded = encode_phases(soft, fse_scratch, fse_mlp.params.dtype)
+    encoded = neural.scratch_buffer(fse_scratch, "x", (len(raw), 2 * raw.shape[1]), fse_mlp.params.dtype)
+    soft_grad, spent = soft_phasor_with_grad(raw, qcfg, encoded, ide_scratch)
     pred = neural.forward(fse_mlp, encoded, fse_scratch)
     loss, g_pred = neural.mse_and_grad(pred, y, fse_scratch)
 
     g_encoded = neural.backward(fse_mlp, encoded, g_pred, fse_scratch, wrt="inputs").inputs
-    g_soft = _encode_backward(encoded, g_encoded, out=soft)
+    g_soft = _encode_backward(encoded, g_encoded, out=spent)
     g_raw = np.multiply(g_soft, soft_grad, out=soft_grad)
     return loss, neural.backward(ide_mlp, x, g_raw, ide_scratch, wrt="params").params
 

@@ -25,7 +25,8 @@ sums run on real arrays in a fixed order, never as a matrix product: the
 quantizer makes no BLAS call, so its bits do not depend on the BLAS threads.
 The grid itself is ``scene.STATE_COUNT`` states of ``scene.STATE_STEP_DEG``;
 this module only reads it. The soft map reads only cos theta and sin theta:
-it takes any real angle and returns arg(z) in [-180, 180], unwrapped. Only
+it takes any real angle and returns arg(z) in [-180, 180], unwrapped, or, for
+a training step, its cos and sin as z/|z| (``soft_phasor_with_grad``). Only
 ``quantize_soft`` and ``quantize_hard`` reduce angles to [0, 360).
 
 A straight-through estimator (hard forward pass, identity gradient) would be
@@ -35,7 +36,6 @@ smooth map keeps training and its gradients exactly consistent.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +46,7 @@ from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
 
 # cos and sin of the first half of the state phases; each state pairs with its antipode
 _PAIR_PHASES = np.radians(state_phases_deg(np.arange(STATE_COUNT // 2)))
-_PAIR_COS, _PAIR_SIN = np.cos(_PAIR_PHASES).tolist(), np.sin(_PAIR_PHASES).tolist()
+_PAIR_COS, _PAIR_SIN = np.cos(_PAIR_PHASES), np.sin(_PAIR_PHASES)
 
 
 @dataclass(frozen=True)
@@ -88,45 +88,58 @@ def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
     are its buffers, the results included.
     """
     angle = np.asarray(angle_deg)
-    theta = np.atleast_1d(angle)
-    buffers = (scratch_buffer(scratch, ("soft", k), theta.shape) for k in itertools.count())
-    theta = np.radians(theta, out=next(buffers), dtype=np.float64)
-    cos_t, sin_t, tmp = np.cos(theta, out=next(buffers)), np.sin(theta, out=theta), next(buffers)
-    tau = np.radians(cfg.temperature)
-    a, b = [], []
-    for c, s in zip(_PAIR_COS, _PAIR_SIN):
-        a.append(np.multiply(cos_t, c / tau, out=next(buffers)))
-        a[-1] += np.multiply(sin_t, s / tau, out=tmp)
-        b.append(np.multiply(sin_t, c / tau, out=next(buffers)))
-        b[-1] -= np.multiply(cos_t, s / tau, out=tmp)
-    neg_m = np.abs(a[0], out=next(buffers))
-    for x in a[1:]:
-        np.maximum(neg_m, np.abs(x, out=tmp), out=neg_m)
-    np.negative(neg_m, out=neg_m)
-    sinh, cosh_b = [], []   # 2 e^{-m} sinh(a_s) and 2 e^{-m} cosh(a_s) b_s
-    for x, y in zip(a, b):
-        up = np.exp(np.add(x, neg_m, out=tmp), out=tmp)
-        # x becomes e^{-a_s - m} in place: fewer live temporaries run measurably faster
-        down = np.exp(np.subtract(neg_m, x, out=x), out=x)
-        sinh.append(np.subtract(up, down, out=next(buffers)))
-        cosh_b.append(np.multiply(np.add(down, up, out=down), y, out=down))
-    # what the cos/sin and b arrays held is spent: they take the sums and the gradient,
-    # and the first sinh, spent once zr and zi are summed, takes the angle
-    zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
-    out = np.degrees(np.arctan2(zi, zr, out=sinh[0]), out=sinh[0])
-    # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
-    grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, b[0], tmp), out=b[0])
-    grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, b[1], tmp), out=b[1])
-    grad /= np.add(np.multiply(zr, zr, out=b[1]), np.multiply(zi, zi, out=tmp), out=b[1])
+    zr, zi, _, grad, spent = _soft_kernel(angle, cfg, scratch)
+    out = np.multiply(np.arctan2(zi, zr, out=spent), 180.0 / np.pi, out=spent)
     if angle.ndim == 0:
         return float(out[0]), float(grad[0])
     return out, grad
 
 
-def _pair_sum(terms, coefs, out, tmp):
-    """sum_s terms[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call."""
-    np.multiply(terms[0], coefs[0], out=out)
-    for t, k in zip(terms[1:], coefs[1:]):
-        out += np.multiply(t, k, out=tmp)
-    return out
+def soft_phasor_with_grad(angle_deg, cfg: QuantizerConfig, out: np.ndarray,
+                          scratch: Optional[dict] = None):
+    """The soft angle's unit phasor z/|z|, [cos, sin] interleaved into ``out`` of any float dtype.
 
+    Returns ``quantize_soft_with_grad``'s derivative, bit for bit, and a spent buffer of its shape.
+    """
+    zr, zi, z_abs, grad, spent = _soft_kernel(np.asarray(angle_deg), cfg, scratch)
+    np.divide(zr, np.sqrt(z_abs, out=z_abs), out=out[..., 0::2])   # |z|^2 becomes |z| in place
+    np.divide(zi, z_abs, out=out[..., 1::2])
+    return grad, spent
+
+
+def _soft_kernel(angle: np.ndarray, cfg: QuantizerConfig, scratch: Optional[dict]):
+    """zr, zi, |z|^2 and d arg(z)/d theta of the soft map, and a spent buffer of their shape."""
+    theta = np.atleast_1d(angle)
+    shape, pairs = theta.shape, len(_PAIR_COS)
+    flat = [scratch_buffer(scratch, ("soft", k), shape) for k in range(5)]
+    # the pairs stack on a leading axis, in the leading rows of a (pairs * rows, ...) buffer
+    a, b, tmp, sinh = (scratch_buffer(scratch, ("soft", k), (pairs * len(theta),) + shape[1:])
+                       .reshape((pairs,) + shape) for k in range(5, 9))
+    theta = np.multiply(theta, np.pi / 180.0, out=flat[0], dtype=np.float64)
+    cos_t, sin_t = np.cos(theta, out=flat[1]), np.sin(theta, out=theta)
+    tau, col = cfg.temperature * (np.pi / 180.0), (pairs,) + (1,) * theta.ndim
+    c, s = (_PAIR_COS / tau).reshape(col), (_PAIR_SIN / tau).reshape(col)
+    np.add(np.multiply(cos_t, c, out=a), np.multiply(sin_t, s, out=tmp), out=a)
+    np.subtract(np.multiply(sin_t, c, out=b), np.multiply(cos_t, s, out=tmp), out=b)
+    neg_m = np.negative(np.abs(a, out=tmp).max(axis=0, out=flat[2]), out=flat[2])
+    up = np.exp(np.add(a, neg_m, out=tmp), out=tmp)
+    # a becomes e^{-a_s - m} in place
+    down = np.exp(np.subtract(neg_m, a, out=a), out=a)
+    np.subtract(up, down, out=sinh)   # 2 e^{-m} sinh(a_s)
+    cosh_b = np.multiply(np.add(down, up, out=down), b, out=down)   # 2 e^{-m} cosh(a_s) b_s
+    # what the cos/sin and m arrays held is spent: they take the sums and the gradient
+    zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
+    # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
+    grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, flat[2], tmp), out=flat[2])
+    grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, flat[3], tmp), out=flat[3])
+    grad /= np.add(np.multiply(zr, zr, out=flat[3]), np.multiply(zi, zi, out=flat[4]), out=flat[3])
+    return zr, zi, flat[3], grad, flat[4]
+
+
+def _pair_sum(stack, coefs, out, tmp):
+    """sum_s stack[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call."""
+    terms = np.multiply(stack, coefs.reshape((-1,) + (1,) * (stack.ndim - 1)), out=tmp)
+    np.add(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        out += t
+    return out

@@ -34,6 +34,7 @@ from rispa.quantizer import (
     QuantizerConfig,
     quantize_hard,
     quantize_soft_with_grad,
+    soft_phasor_with_grad,
 )
 from rispa.scene import default_scene, simulate
 
@@ -126,14 +127,19 @@ def _plain_gradients(mlp, inputs, pre, delta):
 
 
 def _reference_tandem(ide, fse, qcfg, x, y):
-    """The tandem step as plain numpy expressions around the soft quantizer: the bit reference."""
+    """The tandem step as plain numpy expressions around the soft quantizer: the bit reference.
+
+    The surrogate reads the unit phasor of the soft angle, [cos, sin] interleaved,
+    as the quantizer gives it; the angle's derivative is ``quantize_soft_with_grad``'s.
+    """
     raw, ide_inputs, ide_pre = _plain_layers(ide, x)
-    soft, soft_grad = quantize_soft_with_grad(raw, qcfg)
-    rad = np.radians(soft)
-    encoded = np.stack([np.cos(rad), np.sin(rad)], axis=-1).reshape(len(x), -1)
+    _, soft_grad = quantize_soft_with_grad(raw, qcfg)
+    encoded = np.empty((len(x), 2 * raw.shape[1]))
+    soft_phasor_with_grad(raw, qcfg, encoded)
+    cos, sin = encoded[..., 0::2], encoded[..., 1::2]
     pred, fse_inputs, fse_pre = _plain_layers(fse, encoded)
     _, g_encoded = _plain_gradients(fse, fse_inputs, fse_pre, 2.0 * (pred - y) / pred.size)
-    g_soft = (-np.sin(rad) * g_encoded[..., 0::2] + np.cos(rad) * g_encoded[..., 1::2])
+    g_soft = (-sin * g_encoded[..., 0::2] + cos * g_encoded[..., 1::2])
     g_soft = g_soft * (np.pi / 180.0)
     g_ide, _ = _plain_gradients(ide, ide_inputs, ide_pre, g_soft * soft_grad)
     return float(np.mean((pred - y) ** 2)), g_ide

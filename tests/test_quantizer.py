@@ -13,6 +13,7 @@ from rispa.quantizer import (
     quantize_hard,
     quantize_soft,
     quantize_soft_with_grad,
+    soft_phasor_with_grad,
 )
 from rispa.scene import STATE_COUNT, state_phases_deg
 
@@ -123,7 +124,12 @@ def test_soft_with_grad_matches_reference():
 
 
 def _paired_expression_reference(angle_deg, cfg):
-    """The paired form of the module docstring as expressions on fresh arrays: the bit reference."""
+    """The paired form of the module docstring as expressions on fresh arrays: the bit reference.
+
+    It converts with ``np.radians`` and ``np.degrees``, which the kernel's
+    multiplies by pi/180 and 180/pi must match bit for bit. The third result
+    is the unit phasor z/|z|, [cos, sin] interleaved.
+    """
     theta = np.radians(np.atleast_1d(np.asarray(angle_deg, dtype=float)))
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     tau = np.radians(cfg.temperature)
@@ -142,7 +148,16 @@ def _paired_expression_reference(angle_deg, cfg):
 
     zr, zi = pair_sum(sinh, 0), pair_sum(sinh, 1)
     out = np.degrees(np.arctan2(zi, zr))
-    return out, (zi * pair_sum(cosh_b, 0) - zr * pair_sum(cosh_b, 1)) / (zr * zr + zi * zi)
+    r = np.sqrt(zr * zr + zi * zi)
+    phasor = np.stack([zr / r, zi / r], axis=-1).reshape(*zr.shape[:-1], -1)
+    return out, (zi * pair_sum(cosh_b, 0) - zr * pair_sum(cosh_b, 1)) / (zr * zr + zi * zi), phasor
+
+
+def _spoiled(scratch):
+    """``scratch`` with every buffer NaN, so a value left over from an earlier call would show."""
+    for buf in scratch.values():
+        buf.fill(np.nan)
+    return scratch
 
 
 def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
@@ -155,13 +170,32 @@ def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
             angles[0, :4] = (22.5, 45.0, 0.0, -0.0)
             # a float32 input, as a float32 training step's network gives, is widened exactly
             for x in (angles, angles.astype(np.float32)):
-                for buf in scratch.values():
-                    buf.fill(np.nan)  # a value left over from an earlier call would show
-                want_out, want_grad = _paired_expression_reference(x, cfg)
+                want_out, want_grad, want_phasor = _paired_expression_reference(x, cfg)
                 for got_out, got_grad in (quantize_soft_with_grad(x, cfg),
-                                          quantize_soft_with_grad(x, cfg, scratch)):
+                                          quantize_soft_with_grad(x, cfg, _spoiled(scratch))):
                     assert np.array_equal(got_out, want_out)
                     assert np.array_equal(got_grad, want_grad)
+                # the training step's entry: the same derivative, and z/|z| written into a
+                # float64 or a float32 surrogate input
+                for phasor, use in ((np.empty((rows, 40)), None),
+                                    (np.empty((rows, 40), np.float32), _spoiled(scratch))):
+                    got_grad, _ = soft_phasor_with_grad(x, cfg, phasor, use)
+                    assert np.array_equal(got_grad, want_grad)
+                    assert np.array_equal(phasor, want_phasor.astype(phasor.dtype))
+
+
+def test_soft_phasor_is_cos_and_sin_of_the_soft_angle():
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(-1.0, 1.0, size=(3, 94, 20)) * np.array([30.0, 400.0, 1e6])[:, None, None]
+    angles[:, 0, :4] = (22.5, 45.0, 0.0, -0.0)
+    for tau in (0.1, 0.3, 10.0, 30.0):
+        cfg = QuantizerConfig(temperature=tau)
+        for x in (*angles, *angles.astype(np.float32)):
+            out, _ = quantize_soft_with_grad(x, cfg)
+            phasor = np.empty((94, 40))
+            soft_phasor_with_grad(x, cfg, phasor)
+            assert np.abs(phasor[:, 0::2] - np.cos(np.radians(out))).max() <= 4e-15
+            assert np.abs(phasor[:, 1::2] - np.sin(np.radians(out))).max() <= 4e-15
 
 
 def test_soft_small_tau_converges_to_hard_center():
