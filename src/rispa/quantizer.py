@@ -79,16 +79,13 @@ def quantize_soft(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
     return np.where(out == 360.0, 0.0, out)[()]
 
 
-def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig(),
-                            scratch: Optional[dict] = None):
+def quantize_soft_with_grad(angle_deg, cfg: QuantizerConfig = QuantizerConfig()):
     """Soft-quantized angle in [-180, 180] and its derivative d(out_deg)/d(angle_deg).
 
-    Every array is written in place, the float64 radians first, from input of
-    any dtype; with a ``scratch``, a dict as ``neural.forward`` takes, they
-    are its buffers, the results included.
+    Takes input of any dtype; the results are float64.
     """
     angle = np.asarray(angle_deg)
-    zr, zi, _, grad, spent = _soft_kernel(angle, cfg, scratch)
+    zr, zi, _, grad, spent = _soft_kernel(angle, cfg, None)
     out = np.multiply(np.arctan2(zi, zr, out=spent), 180.0 / np.pi, out=spent)
     if angle.ndim == 0:
         return float(out[0]), float(grad[0])
@@ -100,6 +97,8 @@ def soft_phasor_with_grad(angle_deg, cfg: QuantizerConfig, out: np.ndarray,
     """The soft angle's unit phasor z/|z|, [cos, sin] interleaved into ``out`` of any float dtype.
 
     Returns ``quantize_soft_with_grad``'s derivative, bit for bit, and a spent buffer of its shape.
+    Every array is written in place, the float64 radians first; with a ``scratch``, a dict as
+    ``neural.forward`` takes, they are its buffers, the results included.
     """
     zr, zi, z_abs, grad, spent = _soft_kernel(np.asarray(angle_deg), cfg, scratch)
     np.divide(zr, np.sqrt(z_abs, out=z_abs), out=out[..., 0::2])   # |z|^2 becomes |z| in place

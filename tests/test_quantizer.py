@@ -171,13 +171,13 @@ def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
             # a float32 input, as a float32 training step's network gives, is widened exactly
             for x in (angles, angles.astype(np.float32)):
                 want_out, want_grad, want_phasor = _paired_expression_reference(x, cfg)
-                for got_out, got_grad in (quantize_soft_with_grad(x, cfg),
-                                          quantize_soft_with_grad(x, cfg, _spoiled(scratch))):
-                    assert np.array_equal(got_out, want_out)
-                    assert np.array_equal(got_grad, want_grad)
+                got_out, got_grad = quantize_soft_with_grad(x, cfg)
+                assert np.array_equal(got_out, want_out)
+                assert np.array_equal(got_grad, want_grad)
                 # the training step's entry: the same derivative, and z/|z| written into a
-                # float64 or a float32 surrogate input
+                # float64 or a float32 surrogate input, with fresh or reused scratch buffers
                 for phasor, use in ((np.empty((rows, 40)), None),
+                                    (np.empty((rows, 40)), _spoiled(scratch)),
                                     (np.empty((rows, 40), np.float32), _spoiled(scratch))):
                     got_grad, _ = soft_phasor_with_grad(x, cfg, phasor, use)
                     assert np.array_equal(got_grad, want_grad)
