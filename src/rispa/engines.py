@@ -16,9 +16,9 @@ outputs go in unwrapped; deployment snaps them to the hard states.
 
 Precision: ``neural.train`` runs every training step in float32 (see
 ``rispa.neural``). For those steps ``train_ide`` makes one float32 copy of
-the frozen surrogate per run, and the soft quantizer writes its phasor
-straight into a float32 surrogate input; the quantizer, the targets and the
-loss stay float64. Validation, ``fse_predict``, ``tandem_forward``,
+the frozen surrogate per run, and the soft quantizer runs in float32, into
+that copy's input; the targets and the loss stay float64. Validation,
+``fse_predict``, ``tandem_forward`` with its float64 quantizer,
 ``design_batch``, evaluation and model files use the float64 networks.
 """
 
@@ -214,8 +214,8 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     the surrogate, a soft quantizer buffer and the soft derivative.
 
     Each network's passes run in the dtype of its ``params``, and the soft
-    phasor is stored in the surrogate's; the soft quantizer, ``y``, the
-    loss and its gradient are float64.
+    quantizer runs in the surrogate's, into its input; ``y``, the loss and
+    its gradient are float64.
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch

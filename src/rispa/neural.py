@@ -19,14 +19,14 @@ and a pass casts its input to that dtype. ``train`` alone decides the
 training precision: it casts the training inputs to float32 and runs every
 step on a float32 copy of the model, made once per run and refreshed from
 the float64 master after each Adam update, so the network passes of every
-training step run in float32. What is stored, compared or optimized stays
-float64: the master ``params``, Adam's moments and update
-(``adam_step`` upcasts a float32 gradient exactly), targets, losses and
-their gradient, validation, inference and model files. The master weights
-stay float64 because an Adam update far below a weight's float32 spacing
-would round away: with float32 ``params`` and moments the desk gate's
-soft/hard gap moved from 0.0489 to 0.0500, onto its bound of 0.05, where
-float32 passes over float64 weights read 0.0491.
+training step, and a tandem step's soft quantizer, run in float32. What is
+stored, compared or optimized stays float64: the master ``params``, Adam's
+moments and update (``adam_step`` upcasts a float32 gradient exactly),
+targets, losses and their gradient, validation, inference and model files.
+The master weights stay float64 because an Adam update far below a weight's
+float32 spacing would round away: with float32 ``params`` and moments the
+desk gate's soft/hard gap moved from 0.0489 to 0.0500, onto its bound of
+0.05, where float32 passes over float64 weights read 0.0491.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
 the first batch (a smaller batch uses their leading rows), and both passes

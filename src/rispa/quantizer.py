@@ -26,7 +26,9 @@ quantizer makes no BLAS call, so its bits do not depend on the BLAS threads.
 The grid itself is ``scene.STATE_COUNT`` states of ``scene.STATE_STEP_DEG``;
 this module only reads it. The soft map reads only cos theta and sin theta:
 it takes any real angle and returns arg(z) in [-180, 180], unwrapped, or, for
-a training step, its cos and sin as z/|z| (``soft_phasor_with_grad``). Only
+a training step, its cos and sin as z/|z| (``soft_phasor_with_grad``) in its
+output's dtype, float32 in training; the angle entries stay float64. tau is
+floored at finfo(dtype).max ** -0.5 rad, so 1/tau stays finite. Only
 ``quantize_soft`` and ``quantize_hard`` reduce angles to [0, 360).
 
 A straight-through estimator (hard forward pass, identity gradient) would be
@@ -96,28 +98,31 @@ def soft_phasor_with_grad(angle_deg, cfg: QuantizerConfig, out: np.ndarray,
                           scratch: Optional[dict] = None):
     """The soft angle's unit phasor z/|z|, [cos, sin] interleaved into ``out`` of any float dtype.
 
-    Returns ``quantize_soft_with_grad``'s derivative, bit for bit, and a spent buffer of its shape.
-    Every array is written in place, the float64 radians first; with a ``scratch``, a dict as
-    ``neural.forward`` takes, they are its buffers, the results included.
+    Computes in ``out.dtype``; into a float64 ``out`` it returns ``quantize_soft_with_grad``'s
+    derivative, bit for bit, and a spent buffer of its shape. Every array is written in place,
+    the radians first; with a ``scratch``, a dict as ``neural.forward`` takes, they are its
+    buffers, the results included.
     """
-    zr, zi, z_abs, grad, spent = _soft_kernel(np.asarray(angle_deg), cfg, scratch)
+    zr, zi, z_abs, grad, spent = _soft_kernel(np.asarray(angle_deg), cfg, scratch, out.dtype)
     np.divide(zr, np.sqrt(z_abs, out=z_abs), out=out[..., 0::2])   # |z|^2 becomes |z| in place
     np.divide(zi, z_abs, out=out[..., 1::2])
     return grad, spent
 
 
-def _soft_kernel(angle: np.ndarray, cfg: QuantizerConfig, scratch: Optional[dict]):
-    """zr, zi, |z|^2 and d arg(z)/d theta of the soft map, and a spent buffer of their shape."""
+def _soft_kernel(angle: np.ndarray, cfg: QuantizerConfig, scratch: Optional[dict], dtype=np.float64):
+    """zr, zi, |z|^2, d arg(z)/d theta and a spent buffer of their shape, all in ``dtype``."""
     theta = np.atleast_1d(angle)
     shape, pairs = theta.shape, len(_PAIR_COS)
-    flat = [scratch_buffer(scratch, ("soft", k), shape) for k in range(5)]
+    flat = [scratch_buffer(scratch, ("soft", k), shape, dtype) for k in range(5)]
     # the pairs stack on a leading axis, in the leading rows of a (pairs * rows, ...) buffer
-    a, b, tmp, sinh = (scratch_buffer(scratch, ("soft", k), (pairs * len(theta),) + shape[1:])
+    a, b, tmp, sinh = (scratch_buffer(scratch, ("soft", k), (pairs * len(theta),) + shape[1:], dtype)
                        .reshape((pairs,) + shape) for k in range(5, 9))
-    theta = np.multiply(theta, np.pi / 180.0, out=flat[0], dtype=np.float64)
+    theta = np.multiply(theta, np.pi / 180.0, out=flat[0], dtype=dtype)
     cos_t, sin_t = np.cos(theta, out=flat[1]), np.sin(theta, out=theta)
-    tau, col = cfg.temperature * (np.pi / 180.0), (pairs,) + (1,) * theta.ndim
-    c, s = (_PAIR_COS / tau).reshape(col), (_PAIR_SIN / tau).reshape(col)
+    # the floor keeps 1/tau, and every product of it below, finite in dtype
+    tau = max(cfg.temperature * (np.pi / 180.0), float(np.finfo(dtype).max) ** -0.5)
+    col = (pairs,) + (1,) * theta.ndim
+    c, s = (_PAIR_COS / tau).astype(dtype).reshape(col), (_PAIR_SIN / tau).astype(dtype).reshape(col)
     np.add(np.multiply(cos_t, c, out=a), np.multiply(sin_t, s, out=tmp), out=a)
     np.subtract(np.multiply(sin_t, c, out=b), np.multiply(cos_t, s, out=tmp), out=b)
     neg_m = np.negative(np.abs(a, out=tmp).max(axis=0, out=flat[2]), out=flat[2])
@@ -137,7 +142,8 @@ def _soft_kernel(angle: np.ndarray, cfg: QuantizerConfig, scratch: Optional[dict
 
 def _pair_sum(stack, coefs, out, tmp):
     """sum_s stack[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call."""
-    terms = np.multiply(stack, coefs.reshape((-1,) + (1,) * (stack.ndim - 1)), out=tmp)
+    col = (-1,) + (1,) * (stack.ndim - 1)
+    terms = np.multiply(stack, coefs.astype(stack.dtype).reshape(col), out=tmp)
     np.add(terms[0], terms[1], out=out)
     for t in terms[2:]:
         out += t

@@ -210,6 +210,18 @@ def test_tandem_chain_is_360_periodic_in_the_ide_output(shift):
     assert np.abs(tandem_forward(shifted, fse, qcfg, x) - pred).max() <= 1e-9 * np.abs(pred).max()
 
 
+def test_tandem_forward_on_float32_inputs_is_float64_bit_for_bit():
+    # validation, inference and the soft/hard gap never run the float32 step kernel
+    ide = neural.init_mlp(ide_layer_dims(20, 3), seed=35)
+    fse = neural.init_mlp(fse_layer_dims(20, 3), seed=36)
+    x = np.random.default_rng(37).uniform(0.0, 0.6, size=(64, 3)).astype(np.float32)
+    for tau in (0.3, 10.0):
+        qcfg = QuantizerConfig(temperature=tau)
+        pred = tandem_forward(ide, fse, qcfg, x)
+        assert pred.dtype == np.float64
+        assert pred.tobytes() == tandem_forward(ide, fse, qcfg, x.astype(float)).tobytes()
+
+
 # 3 warm-up steps, then the minor page faults of 20 desk-shape tandem steps on one
 # pair of scratches, in a fresh process that keeps glibc's allocator defaults
 _TANDEM_STEP_FAULTS = """
@@ -355,8 +367,8 @@ def test_train_ide_loss_decreases(tiny_tandem):
     assert report.train_losses[-1] < report.train_losses[0]
 
 
-# the buffers the loss and the soft quantizer write; every network-pass buffer is the step's dtype
-_FLOAT64_STEP_KEYS = {"d", "soft"}
+# the buffer the loss writes; every other buffer, the soft quantizer's included, is the step's dtype
+_FLOAT64_STEP_KEYS = {"d"}
 
 
 def _step_dtypes(scratch):

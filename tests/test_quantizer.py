@@ -162,7 +162,7 @@ def _spoiled(scratch):
 
 def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
     rng = np.random.default_rng(29)
-    scratch = {}
+    scratch64, scratch32 = {}, {}
     for tau in (30.0, 10.0, 0.3, 0.1):
         cfg = QuantizerConfig(temperature=tau)
         for rows in (256, 94, 256):
@@ -174,14 +174,64 @@ def test_in_place_soft_kernel_is_bit_identical_to_expression_reference():
                 got_out, got_grad = quantize_soft_with_grad(x, cfg)
                 assert np.array_equal(got_out, want_out)
                 assert np.array_equal(got_grad, want_grad)
-                # the training step's entry: the same derivative, and z/|z| written into a
-                # float64 or a float32 surrogate input, with fresh or reused scratch buffers
-                for phasor, use in ((np.empty((rows, 40)), None),
-                                    (np.empty((rows, 40)), _spoiled(scratch)),
-                                    (np.empty((rows, 40), np.float32), _spoiled(scratch))):
+                # the training step's entry into a float64 surrogate input: the same
+                # derivative and z/|z|, with fresh or reused scratch buffers
+                for use in (None, _spoiled(scratch64)):
+                    phasor = np.empty((rows, 40))
                     got_grad, _ = soft_phasor_with_grad(x, cfg, phasor, use)
                     assert np.array_equal(got_grad, want_grad)
-                    assert np.array_equal(phasor, want_phasor.astype(phasor.dtype))
+                    assert np.array_equal(phasor, want_phasor)
+                # into a float32 input the kernel runs in float32; reused buffers change no bit
+                fresh, reused = np.empty((rows, 40), np.float32), np.empty((rows, 40), np.float32)
+                want_grad, _ = soft_phasor_with_grad(x, cfg, fresh)
+                got_grad, _ = soft_phasor_with_grad(x, cfg, reused, _spoiled(scratch32))
+                assert got_grad.dtype == np.float32 and np.array_equal(got_grad, want_grad)
+                assert np.array_equal(reused, fresh)
+    assert {buf.dtype for buf in scratch32.values()} == {np.dtype(np.float32)}
+
+
+def test_float32_soft_kernel_is_within_roundoff_of_float64():
+    # the float32 training step's phasor and derivative, against the float64 kernel on the
+    # same float32 angles. The worst errors seen on 256 x 20 angles: phasor 2.9e-5 and
+    # gradient 5.2e-5 of max |grad| at tau 0.1 on +-400 deg (they shrink about as 1/tau),
+    # and below 7e-7 at tau >= 10
+    rng = np.random.default_rng(37)
+    for scale in (30.0, 400.0):
+        x = (rng.uniform(-1.0, 1.0, size=(256, 20)) * scale).astype(np.float32)
+        x[0, :4] = (22.5, 45.0, 0.0, -0.0)
+        for tau in (0.1, 0.3, 1.0, 10.0, 30.0):
+            cfg = QuantizerConfig(temperature=tau)
+            phasor32, phasor64 = np.empty((256, 40), np.float32), np.empty((256, 40))
+            grad32, _ = soft_phasor_with_grad(x, cfg, phasor32)
+            grad64, _ = soft_phasor_with_grad(x, cfg, phasor64)
+            bound = 1e-6 if tau >= 10.0 else 1e-4
+            assert np.abs(phasor32 - phasor64).max() <= 0.5 * bound
+            assert np.abs(grad32 - grad64).max() <= bound * np.abs(grad64).max()
+
+
+def test_soft_phasor_is_finite_at_every_temperature():
+    # tau is floored so that 1/tau and its products stay finite in the kernel's dtype
+    angles = np.random.default_rng(41).uniform(-400.0, 400.0, size=(94, 20))
+    angles[0, :4] = (22.5, 45.0, 0.0, -0.0)
+    for tau in (1e-300, 1e-40, 1e-20, 0.1, 30.0):
+        cfg = QuantizerConfig(temperature=tau)
+        for dtype in (np.float32, np.float64):
+            phasor = np.empty((94, 40), dtype)
+            grad, _ = soft_phasor_with_grad(angles.astype(dtype), cfg, phasor)
+            assert np.isfinite(phasor).all() and np.isfinite(grad).all(), (tau, dtype)
+            assert np.abs(np.hypot(phasor[:, 0::2], phasor[:, 1::2]) - 1.0).max() <= 1e-6
+
+
+def test_float32_angles_give_the_float64_results_of_their_widened_values():
+    # quantize_soft_with_grad and quantize_soft, which validation and the gate read, stay float64
+    x = np.random.default_rng(43).uniform(-400.0, 400.0, size=(94, 20)).astype(np.float32)
+    for tau in (0.3, 10.0):
+        cfg = QuantizerConfig(temperature=tau)
+        wide = x.astype(float)
+        got = (*quantize_soft_with_grad(x, cfg), quantize_soft(x, cfg))
+        want = (*quantize_soft_with_grad(wide, cfg), quantize_soft(wide, cfg))
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
 
 
 def test_soft_phasor_is_cos_and_sin_of_the_soft_angle():

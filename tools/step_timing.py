@@ -15,7 +15,9 @@ epoch gets float64 inputs, as ``engines.train_fse`` passes them, and
 The trace already reports the self time of the soft quantizer, the encoding
 and each network pass. Each line gives one timing in microseconds per call,
 the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
-many for the epoch); the last line is one JSON summary of them all.
+many for the epoch); the last line is one JSON summary of them all. Each
+timing runs in a fresh spawned process, so what one kernel leaves allocated
+cannot move the timings after it.
 
     python tools/step_timing.py [--number 1000] [--repeat 7]
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import sys
@@ -105,8 +108,8 @@ def _fse_epoch():
                                 batch_size=FSE_BATCH, learning_rate=1e-3, seed=SEED)
 
 
-def _best_us(fn, number: int, repeat: int) -> float:
-    return min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6
+def _best_us(make, number: int, repeat: int) -> float:
+    return min(timeit.repeat(make(), number=number, repeat=repeat)) / number * 1e6
 
 
 def main(argv=None) -> int:
@@ -117,11 +120,17 @@ def main(argv=None) -> int:
     if args.number < 1 or args.repeat < 1:
         parser.error("--number and --repeat must be >= 1")
 
-    tandem_step = _best_us(_tandem_step(), args.number, args.repeat)
+    spawn = multiprocessing.get_context("spawn")
+
+    def fresh_us(make, number):
+        with spawn.Pool(1) as pool:
+            return pool.apply(_best_us, (make, number, args.repeat))
+
+    tandem_step = fresh_us(_tandem_step, args.number)
     print(f"tandem {'step':5s} {tandem_step:10.1f} us", flush=True)
-    fse_step = _best_us(_fse_step(), args.number, args.repeat)
+    fse_step = fresh_us(_fse_step, args.number)
     print(f"fse    {'step':5s} {fse_step:10.1f} us", flush=True)
-    fse_epoch = _best_us(_fse_epoch(), max(1, args.number // 10), args.repeat)
+    fse_epoch = fresh_us(_fse_epoch, max(1, args.number // 10))
     print(f"fse    {'epoch':5s} {fse_epoch:10.1f} us", flush=True)
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
