@@ -6,7 +6,9 @@ targets.jsonl, eval.csv, plus CSV histories and a summary. Every artifact
 embeds the seed and scene digest that produced it; there is no hidden state
 between commands, and reruns with the same flags are byte-identical. The
 stages themselves live in ``evalkit``; ``pipeline`` runs them in one process
-and writes the same artifacts as the stage-by-stage chain.
+and writes the same artifacts as the stage-by-stage chain. ``adapt`` reads the
+deployed system, fse.json, ide.json and targets.jsonl, from the same directory
+under the same checks as ``eval``, and trains nothing on ``--scene``.
 
 Each command's results are one outcome dict: stdout prints it as ``key: value``
 lines, followed by one ``artifacts -> <out>`` line, and manifest.json records
@@ -24,6 +26,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import dataio, engines, evalkit
 from .atomic import atomic_write
@@ -282,15 +285,19 @@ def _load_models(cfg: RunConfig):
     return fse, ide
 
 
-def cmd_eval(cfg: RunConfig) -> dict:
+def _load_deployed(cfg: RunConfig):
+    """(fse, ide, target splits) from ``--out``, past the digest, surrogate and seed checks."""
     fse, ide = _load_models(cfg)
-    targets_path = _require(cfg.out_dir / TARGETS_FILE, "train-ide")
-    targets = dataio.load_targets(targets_path)
+    targets = dataio.load_targets(_require(cfg.out_dir / TARGETS_FILE, "train-ide"))
     if targets.seed != derive_seed(cfg.seed, evalkit.SEED_TARGETS):
         _refuse_unless_forced(cfg, "targets file was generated under a different --seed; "
                                    "the held-out split would not match training")
-    t_test = evalkit.target_splits(targets, cfg.settings, cfg.seed)[2]
-    result = evalkit.stage_eval(ide, fse, cfg.scene, t_test, cfg.seed)
+    return fse, ide, evalkit.target_splits(targets, cfg.settings, cfg.seed)
+
+
+def cmd_eval(cfg: RunConfig) -> dict:
+    fse, ide, splits = _load_deployed(cfg)
+    result = evalkit.stage_eval(ide, fse, cfg.scene, splits[2], cfg.seed)
     return _evaluated(cfg, result, engines.soft_hard_gap_rms(ide, fse, result))
 
 
@@ -300,13 +307,15 @@ def cmd_special_cases(cfg: RunConfig) -> dict:
 
 
 def cmd_adapt(cfg: RunConfig) -> dict:
-    base = evalkit.run_pipeline(cfg.scene, cfg.settings, cfg.seed)
+    fse, ide, splits = _load_deployed(cfg)
+    baseline = evalkit.stage_eval(ide, fse, cfg.scene, splits[2], cfg.seed)
+    base = SimpleNamespace(fse=fse, ide=ide, target_splits=splits, seed=cfg.seed)
     report = evalkit.run_adaptation_study(base, cfg.scene, cfg.scene_b, cfg.settings)
     prov = _provenance(cfg, cfg.scene_b)
     evalkit.export_scatter(report.stale_table, cfg.out_dir / ADAPT_STALE_FILE, prov)
     evalkit.export_scatter(report.retrained_table, cfg.out_dir / ADAPT_RETRAINED_FILE, prov)
     outcome = {
-        "baseline_mse": base.eval_result.mse_measured.tolist(),
+        "baseline_mse": baseline.mse_measured.tolist(),
         "stale_mse": report.stale_mse.tolist(),
         "retrained_mse": report.retrained_mse.tolist(),
         "recollect_seconds": report.collect_seconds,

@@ -6,7 +6,9 @@ three stories the artifact exists to tell: (1) train a surrogate and an inverse
 designer from "measured" data and score them closed-loop, (2) hit the named
 power-allocation patterns, (3) degrade the system with an obstacle and show
 that on-site re-collection plus retraining restores it. The study takes the
-clean-scene ``run_pipeline`` result as its baseline rather than training one.
+deployed clean-scene system as its baseline rather than training one: a
+``run_pipeline`` result in process, or the models and targets that ``rispa
+adapt`` loads from a pipeline's output directory.
 """
 
 from __future__ import annotations
@@ -280,13 +282,14 @@ def run_adaptation_study(
 ) -> AdaptationReport:
     """Score ``base`` on the changed scene, then re-collect and retrain on site.
 
-    ``base`` is the ``run_pipeline`` result on ``scene_without`` under
-    ``settings``; its surrogate must carry that scene's digest (after the
-    noise override), and the study draws every seed from ``base.seed``. The
-    two scenes must agree outside the obstacle block. The base's target test
-    split scores both the stale and the retrained models, so the MSEs are
-    comparable. Retraining draws fresh profiles and fresh seeds and starts
-    both networks from scratch.
+    ``base`` is the system deployed on ``scene_without`` under ``settings``,
+    such as that scene's ``run_pipeline`` result. The study reads only
+    ``base.fse``, ``base.ide``, ``base.target_splits`` and ``base.seed``. The
+    surrogate must carry that scene's digest (after the noise override), and
+    the study draws every seed from ``base.seed``. The two scenes must agree
+    outside the obstacle block. The base's target test split scores both the
+    stale and the retrained models, so the MSEs are comparable. Retraining
+    draws fresh profiles and fresh seeds and starts both networks from scratch.
     """
     if not scenes_differ_only_in_obstacle(scene_without, scene_with):
         raise ValueError("scenes must differ only in the obstacle block")

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from rispa import cli
+from rispa import cli, evalkit
+from rispa.evalkit import desk_settings
 from rispa.scene import default_scene, save_scene, scene_digest
 
 TINY = ["--profiles", "80", "--targets", "120", "--epochs-fse", "6",
@@ -295,6 +296,7 @@ def test_explicit_scene_file_and_rispa_out_env(tmp_path, monkeypatch):
 
 
 def test_adapt_command_runs_tiny(tmp_path):
+    assert run_cli(["pipeline", "--seed", "5", *TINY], tmp_path) == 0
     code = run_cli(["adapt", "--seed", "5", *TINY], tmp_path)
     assert code == 0
     for name in ("adapt_stale.csv", "adapt_retrained.csv", "adapt_summary.txt"):
@@ -306,6 +308,66 @@ def test_adapt_command_runs_tiny(tmp_path):
     for name in ("adapt_stale.csv", "adapt_retrained.csv"):
         first = (tmp_path / name).read_text().splitlines()[0]
         assert first == f"# seed=5 scene_digest={scene_digest(measured_on)}", name
+
+
+def test_adapt_reproduces_the_in_process_study_byte_for_byte(tmp_path):
+    assert run_cli(["pipeline", "--seed", "5", *TINY], tmp_path) == 0
+    assert run_cli(["adapt", "--seed", "5", *TINY], tmp_path) == 0
+
+    # the same run in process: TINY's flags over the desk preset, on the default scenes
+    settings = dataclasses.replace(desk_settings(), profile_count=80, target_count=120,
+                                   epochs_fse=6, epochs_ide=3, batch_fse=32, batch_ide=32)
+    clean, obstacle = default_scene(), default_scene(with_obstacle=True)
+    base = evalkit.run_pipeline(clean, settings, 5)
+    report = evalkit.run_adaptation_study(base, clean, obstacle, settings)
+    prov = {"seed": 5, "scene_digest": scene_digest(dataclasses.replace(obstacle, noise_sigma=0.0))}
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    evalkit.export_scatter(report.stale_table, expected / "adapt_stale.csv", prov)
+    evalkit.export_scatter(report.retrained_table, expected / "adapt_retrained.csv", prov)
+    for name in ("adapt_stale.csv", "adapt_retrained.csv"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+    baseline = cli.outcome_text({"baseline_mse": base.eval_result.mse_measured.tolist()})
+    assert baseline in (tmp_path / "adapt_summary.txt").read_text()
+    mse_measured = cli.outcome_text({"mse_measured": base.eval_result.mse_measured.tolist()})
+    assert mse_measured in (tmp_path / "summary.txt").read_text()
+
+
+def test_adapt_without_a_deployed_system_is_dependency_error(tmp_path, capsys):
+    assert run_cli(["adapt", "--seed", "5", *TINY], tmp_path) == cli.EXIT_MISSING_DEPENDENCY
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("missing dependency: "), err
+    assert not list(tmp_path.glob("adapt_*"))
+
+
+def test_adapt_with_mismatched_seed_is_config_error(tmp_path):
+    # a subprocess, so that any log line of a started study would show on stderr
+    assert run_cli(["pipeline", "--seed", "5", *TINY], tmp_path) == 0
+    proc = subprocess.run([sys.executable, "-m", "rispa.cli", "adapt", "--seed", "6", *TINY,
+                           "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert len(proc.stderr.splitlines()) == 1 and "different --seed" in proc.stderr, proc.stderr
+    assert not list(tmp_path.glob("adapt_*"))
+
+
+def test_adapt_after_a_pipeline_on_another_scene(tmp_path):
+    # nonzero noise changes the digest of the scene the deployed system was trained on
+    assert run_cli(["pipeline", "--seed", "5", "--noise", "0.05", *TINY], tmp_path) == 0
+    adapt = [sys.executable, "-m", "rispa.cli", "adapt", "--seed", "5", *TINY,
+             "--out", str(tmp_path)]
+    refused = subprocess.run(adapt, capture_output=True, text=True)
+    assert refused.returncode == cli.EXIT_CONFIG
+    assert len(refused.stderr.splitlines()) == 1 and "digest mismatch" in refused.stderr
+    # forced past the CLI's check, the study's own scene check still refuses the base
+    forced = subprocess.run([*adapt, "--force"], capture_output=True, text=True)
+    assert forced.returncode == cli.EXIT_RUNTIME
+    lines = forced.stderr.splitlines()
+    warnings = [line for line in lines if line.startswith("WARNING")]
+    errors = [line for line in lines if line.startswith("error:")]
+    assert len(warnings) == 1 and "digest mismatch" in warnings[0], forced.stderr
+    assert errors == ["error: the base run was trained on a different scene"], forced.stderr
+    assert not list(tmp_path.glob("adapt_*"))
 
 
 def test_threads_flag_is_rejected(tmp_path):
