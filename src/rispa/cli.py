@@ -185,11 +185,14 @@ def _refuse_unless_forced(cfg: RunConfig, msg: str) -> None:
     logger.warning("%s (continuing due to --force)", msg)
 
 
-def _check_digest(cfg: RunConfig, stored: str, what: str) -> None:
+def _check_digest(cfg: RunConfig, stored: str, what: str, forceable: bool = True) -> None:
     current = scene_digest(cfg.scene)
     if stored and stored != current:
-        _refuse_unless_forced(cfg, f"scene digest mismatch: {what} was built on "
-                                   f"{stored[:12]}..., current scene is {current[:12]}...")
+        msg = (f"scene digest mismatch: {what} was built on {stored[:12]}..., "
+               f"current scene is {current[:12]}...")
+        if not forceable:
+            raise CliError(msg + " (--force does not apply here)", EXIT_CONFIG)
+        _refuse_unless_forced(cfg, msg)
 
 
 def _format_value(value) -> str:
@@ -276,18 +279,21 @@ def cmd_train_ide(cfg: RunConfig) -> dict:
     return _ide_trained(cfg, targets, *evalkit.stage_train_ide(fse, splits, cfg.settings, cfg.seed))
 
 
-def _load_models(cfg: RunConfig):
+def _load_models(cfg: RunConfig, scene_forceable: bool = True):
     fse = engines.load_fse(_require(cfg.out_dir / FSE_FILE, "train-fse"))
     ide = engines.load_ide(_require(cfg.out_dir / IDE_FILE, "train-ide"))
-    _check_digest(cfg, fse.scene_digest, "surrogate")
+    _check_digest(cfg, fse.scene_digest, "surrogate", scene_forceable)
     if ide.fse_digest != fse.digest():
         _refuse_unless_forced(cfg, "inverse engine was trained against a different surrogate")
     return fse, ide
 
 
-def _load_deployed(cfg: RunConfig):
-    """(fse, ide, target splits) from ``--out``, past the digest, surrogate and seed checks."""
-    fse, ide = _load_models(cfg)
+def _load_deployed(cfg: RunConfig, scene_forceable: bool = True):
+    """(fse, ide, target splits) from ``--out``, past the digest, surrogate and seed checks.
+
+    With ``scene_forceable`` false, ``--force`` does not get past a scene mismatch.
+    """
+    fse, ide = _load_models(cfg, scene_forceable)
     targets = dataio.load_targets(_require(cfg.out_dir / TARGETS_FILE, "train-ide"))
     if targets.seed != derive_seed(cfg.seed, evalkit.SEED_TARGETS):
         _refuse_unless_forced(cfg, "targets file was generated under a different --seed; "
@@ -307,7 +313,9 @@ def cmd_special_cases(cfg: RunConfig) -> dict:
 
 
 def cmd_adapt(cfg: RunConfig) -> dict:
-    fse, ide, splits = _load_deployed(cfg)
+    # the study needs the surrogate's own scene and re-checks it, so no --force gets past a
+    # mismatch: refuse it here, before the baseline is scored
+    fse, ide, splits = _load_deployed(cfg, scene_forceable=False)
     baseline = evalkit.stage_eval(ide, fse, cfg.scene, splits[2], cfg.seed)
     base = SimpleNamespace(fse=fse, ide=ide, target_splits=splits, seed=cfg.seed)
     report = evalkit.run_adaptation_study(base, cfg.scene, cfg.scene_b, cfg.settings)

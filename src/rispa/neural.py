@@ -21,9 +21,10 @@ step on a float32 copy of the model, made once per run and refreshed from
 the float64 master after each Adam update, so the network passes of every
 training step, and a tandem step's soft quantizer, run in float32. What is
 stored, compared or optimized stays float64: the master ``params``, Adam's
-moments and update (``adam_step`` upcasts a float32 gradient exactly),
-targets, losses and their gradient, validation, inference and model files.
-The master weights stay float64 because an Adam update far below a weight's
+moments and update (``adam_step`` widens a float32 gradient once, exactly,
+into its first work buffer, so its other passes are float64 only), targets,
+losses and their gradient, validation, inference and model files. The
+master weights stay float64 because an Adam update far below a weight's
 float32 spacing would round away: with float32 ``params`` and moments the
 desk gate's soft/hard gap moved from 0.0489 to 0.0500, onto its bound of
 0.05, where float32 passes over float64 weights read 0.0491.
@@ -42,13 +43,15 @@ weight and bias views are made with it, once, under ``("gw", i)`` and
 ``("gb", i)``; it has the dtype of ``params``. A training step takes its loss
 and the loss gradient from one difference ``pred - y`` in the scratch's
 ``"d"`` buffer (``mse_and_grad``). ``adam_step`` updates the parameters and
-its moments in place.
+its moments in place. Supervised validation runs through one more scratch
+per run, so its passes, too, reuse their buffers from epoch to epoch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional, Tuple
@@ -253,7 +256,7 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     for i in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
             np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=scratch[("gw", i)])
-            delta.sum(axis=0, out=scratch[("gb", i)])
+            np.add.reduce(delta, axis=0, out=scratch[("gb", i)])  # delta.sum without its wrapper
         if i == 0 and wrt == "params":
             break
         upstream = np.matmul(delta, mlp.weights[i], out=scratch_buffer(
@@ -275,7 +278,8 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int
     learning_rate: float
-    work: Tuple[np.ndarray, np.ndarray] = field(repr=False)  # adam_step's two temporaries
+    # adam_step's two temporaries: the widened gradient, then the step; the denominator
+    work: Tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def init_adam(params: np.ndarray, learning_rate: float) -> AdamState:
@@ -296,21 +300,24 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
 
     ``params`` and the moments in ``state`` are overwritten and the same two
     objects are returned; a non-finite gradient raises before anything is.
-    The update runs in float64 whatever the dtype of ``grads``: a float32
-    gradient gives the bits of the same gradient upcast first.
+    The update runs in float64 whatever the dtype of ``grads``: the gradient
+    is widened once, exactly, into the first work buffer, so every later pass
+    is a float64-only ufunc and a float32 gradient gives the bits of the same
+    gradient upcast first.
     """
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise TrainingDiverged("diverged: non-finite gradient")
     t = state.step_count + 1
     lr, b1, b2, eps = state.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m, v = state.first_moment, state.second_moment
-    step, denom = state.work
-    m *= b1  # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, in that order of operations
-    m += np.multiply(1.0 - b1, grads, out=step, dtype=FLOAT64)
-    v *= b2
-    v += np.multiply(np.multiply(1.0 - b2, grads, out=denom, dtype=FLOAT64), grads, out=denom)
+    g, denom = state.work
+    np.copyto(g, grads)  # the one widening: every pass below reads float64 only
+    v *= b2  # v = b2 v + ((1 - b2) g) g, m = b1 m + (1 - b1) g, in that order of operations
+    v += np.multiply(np.multiply(1.0 - b2, g, out=denom), g, out=denom)
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=g)  # the last read of g; its buffer takes the step
     # params -= (lr m_hat) / (sqrt(v_hat) + eps)
-    np.multiply(np.divide(m, 1.0 - b1 ** t, out=step), lr, out=step)
+    step = np.multiply(np.divide(m, 1.0 - b1 ** t, out=g), lr, out=g)
     np.add(np.sqrt(np.divide(v, 1.0 - b2 ** t, out=denom), out=denom), eps, out=denom)
     params -= np.divide(step, denom, out=step)
     state.step_count = t
@@ -376,9 +383,10 @@ def train(
     Shuffling is seeded; batches run in a fixed order, so the loss histories
     are reproducible bit for bit. Each batch is gathered into two buffers made
     once per run, so ``loss_and_grads_fn`` gets views that the next batch
-    overwrites. A run of at least one epoch that returns the initial
-    parameters unchanged (every gradient zero, e.g. a frozen quantizer)
-    raises ``TrainingDiverged``.
+    overwrites; supervised validation runs through one scratch per run. A
+    run of at least one epoch that returns the initial parameters unchanged
+    (every gradient zero, e.g. a frozen quantizer) raises
+    ``TrainingDiverged``.
     """
     loss_and_grads_fn = loss_and_grads_fn or partial(_supervised_loss_and_grads, scratch={})
     x_train, y_train = train_pairs
@@ -406,17 +414,18 @@ def train(
     rows = min(batch_size, n)
     x_batch = np.empty((rows, *x_train.shape[1:]), x_train.dtype)
     y_batch = np.empty((rows, *y_train.shape[1:]))
+    val_scratch = {}  # supervised validation's buffers, faulted in once per run
     for epoch in range(epochs):
         perm = rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
             # mode="clip" lets take write straight into out; "raise" would buffer it
-            x = np.take(x_train, idx, axis=0, out=x_batch[:len(idx)], mode="clip")
-            y = np.take(y_train, idx, axis=0, out=y_batch[:len(idx)], mode="clip")
+            x = x_train.take(idx, axis=0, out=x_batch[:len(idx)], mode="clip")
+            y = y_train.take(idx, axis=0, out=y_batch[:len(idx)], mode="clip")
             loss, grads = loss_and_grads_fn(steps, x=x, y=y)
             try:
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingDiverged("diverged: non-finite loss")
                 adam_step(model.params, grads, state)
             except TrainingDiverged as e:
@@ -426,7 +435,7 @@ def train(
             sq_sum += loss * len(idx)
         train_losses.append(sq_sum / n)
         # x stays positional: perfbench's tracer counts rows from forward's second argument
-        pred = forward(model, x_val) if predict_fn is None else predict_fn(model, x=x_val)
+        pred = forward(model, x_val, val_scratch) if predict_fn is None else predict_fn(model, x=x_val)
         v = mse(pred, y_val)
         val_losses.append(v)
         if v < best_val:

@@ -356,18 +356,16 @@ def test_adapt_after_a_pipeline_on_another_scene(tmp_path):
     assert run_cli(["pipeline", "--seed", "5", "--noise", "0.05", *TINY], tmp_path) == 0
     adapt = [sys.executable, "-m", "rispa.cli", "adapt", "--seed", "5", *TINY,
              "--out", str(tmp_path)]
-    refused = subprocess.run(adapt, capture_output=True, text=True)
-    assert refused.returncode == cli.EXIT_CONFIG
-    assert len(refused.stderr.splitlines()) == 1 and "digest mismatch" in refused.stderr
-    # forced past the CLI's check, the study's own scene check still refuses the base
-    forced = subprocess.run([*adapt, "--force"], capture_output=True, text=True)
-    assert forced.returncode == cli.EXIT_RUNTIME
-    lines = forced.stderr.splitlines()
-    warnings = [line for line in lines if line.startswith("WARNING")]
-    errors = [line for line in lines if line.startswith("error:")]
-    assert len(warnings) == 1 and "digest mismatch" in warnings[0], forced.stderr
-    assert errors == ["error: the base run was trained on a different scene"], forced.stderr
+    # the study cannot start from a surrogate of another scene, so --force changes nothing:
+    # one line and exit 2, before anything is scored or written
+    for flags in ([], ["--force"]):
+        refused = subprocess.run([*adapt, *flags], capture_output=True, text=True)
+        assert refused.returncode == cli.EXIT_CONFIG, refused.stderr
+        assert len(refused.stderr.splitlines()) == 1, refused.stderr
+        assert "digest mismatch" in refused.stderr and "--force does not apply" in refused.stderr
+        assert refused.stdout == ""
     assert not list(tmp_path.glob("adapt_*"))
+    assert "adapt" not in json.loads((tmp_path / "manifest.json").read_text())
 
 
 def test_threads_flag_is_rejected(tmp_path):

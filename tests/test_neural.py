@@ -368,6 +368,32 @@ def test_float32_supervised_steps_take_no_page_faults():
     assert int(proc.stdout) < 100
 
 
+# the minor page faults of one surrogate train run of sys.argv[1] epochs, validated on
+# 900 rows (the paper's 9% of 10,000), in a fresh process that keeps glibc's defaults
+_SUPERVISED_VALIDATION_FAULTS = """
+import resource, sys
+import numpy as np
+from rispa import engines, neural
+mlp = neural.init_mlp(engines.fse_layer_dims(), seed=0)
+rng = np.random.default_rng(1)
+train_pairs = rng.uniform(-1.0, 1.0, size=(256, 40)), rng.uniform(0.0, 1.0, size=(256, 3))
+val_pairs = rng.uniform(-1.0, 1.0, size=(900, 40)), rng.uniform(0.0, 1.0, size=(900, 3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+neural.train(mlp, train_pairs, val_pairs, epochs=int(sys.argv[1]), batch_size=128,
+             learning_rate=1e-3, seed=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_supervised_validation_takes_no_page_faults():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the faults come from glibc returning freed memory to the kernel")
+    faults = [int(subprocess.run([sys.executable, "-c", _SUPERVISED_VALIDATION_FAULTS, str(epochs)],
+                                 capture_output=True, text=True, check=True).stdout)
+              for epochs in (2, 12)]
+    assert (faults[1] - faults[0]) / 10 < 100, faults
+
+
 def test_backward_batched_equals_sum_of_singles():
     mlp = nn.init_mlp([3, 4, 2], seed=5)
     rng = np.random.default_rng(6)

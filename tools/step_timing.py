@@ -6,10 +6,13 @@ through the frozen surrogate, with its Adam update), one whole desk-shaped
 surrogate step (batch 128: ``forward``, ``mse_and_grad``, the
 parameter-only ``backward`` and Adam) and one desk-shaped surrogate epoch
 of ``neural.train`` itself (1,620 rows at batch 128, then 180 validation
-rows). The steps run as ``neural.train`` runs them: on copies of the
-networks in its step dtype (``neural.FLOAT32``), with input batches in that
-dtype and float64 targets, and each step ends by refreshing the trained
-network's copy from its float64 master after Adam has updated that. The
+rows). Two more lines time ``neural.adam_step`` alone at the surrogate's
+14,503 and the inverse network's 3,770 parameters, as ``neural.train``
+calls it: a float32 gradient over a float64 master. The steps run as
+``neural.train`` runs them: on copies of the networks in its step dtype
+(``neural.FLOAT32``), with input batches in that dtype and float64 targets,
+and each step ends by refreshing the trained network's copy from its
+float64 master after Adam has updated that. The
 epoch gets float64 inputs, as ``engines.train_fse`` passes them, and
 ``neural.train`` casts them.
 The trace already reports the self time of the soft quantizer, the encoding
@@ -35,6 +38,7 @@ import os
 import platform
 import sys
 import timeit
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +99,14 @@ def _fse_step():
     return step
 
 
+def _adam_step(layer_dims):
+    """One ``adam_step`` as ``neural.train`` calls it: a float32 gradient, a float64 master."""
+    params = neural.init_mlp(layer_dims, seed=SEED).params
+    grads = np.random.default_rng(SEED).normal(0.0, 1e-2, params.size).astype(neural.FLOAT32)
+    state = neural.init_adam(params, 1e-3)
+    return partial(neural.adam_step, params, grads, state)
+
+
 def _fse_epoch():
     """One ``neural.train`` epoch of the surrogate on desk-sized random data."""
     rng = np.random.default_rng(SEED)
@@ -132,6 +144,10 @@ def main(argv=None) -> int:
     print(f"fse    {'step':5s} {fse_step:10.1f} us", flush=True)
     fse_epoch = fresh_us(_fse_epoch, max(1, args.number // 10))
     print(f"fse    {'epoch':5s} {fse_epoch:10.1f} us", flush=True)
+    adam = {}
+    for name, dims in (("fse", engines.fse_layer_dims()), ("ide", engines.ide_layer_dims())):
+        adam[name] = fresh_us(partial(_adam_step, dims), args.number)
+        print(f"adam   {name:5s} {adam[name]:10.1f} us", flush=True)
     print(json.dumps({
         "tandem_batch": TANDEM_BATCH,
         "fse_batch": FSE_BATCH,
@@ -143,6 +159,8 @@ def main(argv=None) -> int:
         "fse_step_us": round(fse_step, 1),
         "fse_epoch_rows": list(FSE_ROWS),
         "fse_epoch_us": round(fse_epoch, 1),
+        "adam_fse_us": round(adam["fse"], 1),
+        "adam_ide_us": round(adam["ide"], 1),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
