@@ -219,8 +219,9 @@ def tandem_loss_and_grads(ide_mlp: Mlp, fse_mlp: Mlp, qcfg: QuantizerConfig, x, 
     """
     ide_scratch = {} if ide_scratch is None else ide_scratch
     fse_scratch = {} if fse_scratch is None else fse_scratch
-    x = np.atleast_2d(np.asarray(x, dtype=ide_mlp.params.dtype))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=ide_mlp.params.dtype), np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2:  # atleast_2d returns a 2-D array itself, so skip its call
+        x, y = np.atleast_2d(x), np.atleast_2d(y)
     raw = neural.forward(ide_mlp, x, ide_scratch)
     encoded = neural.scratch_buffer(fse_scratch, "x", (len(raw), 2 * raw.shape[1]), fse_mlp.params.dtype)
     soft_grad, spent = soft_phasor_with_grad(raw, qcfg, encoded, ide_scratch)

@@ -30,21 +30,24 @@ desk gate's soft/hard gap moved from 0.0489 to 0.0500, onto its bound of
 0.05, where float32 passes over float64 weights read 0.0491.
 
 A training run owns one scratch per network, a plain dict of buffers sized at
-the first batch (a smaller batch uses their leading rows), and both passes
-write into it: after the first step their batch-sized arrays are its buffers,
-``backward``'s cast of its output gradient ``"g"`` included, and their
-results are views that the next pass with that scratch overwrites. The
-scratch is the record of the forward pass: ``backward`` reads each layer's
-input and ``min(z, 0)`` of its pre-activation ``z`` from the buffers
-``forward`` just filled, and turns the latter into the ELU derivative
+the first batch (a smaller batch uses their leading rows; a larger one remakes
+them), and both passes write into it: after the first step their batch-sized
+arrays are its buffers, ``backward``'s cast of its output gradient ``"g"``
+included, and their results are views that the next pass with that scratch
+overwrites. The scratch is the record of the forward pass: ``backward`` reads
+each layer's input and ``min(z, 0)`` of its pre-activation ``z`` from the
+buffers ``forward`` just filled, and turns the latter into the ELU derivative
 ``exp(min(z, 0))`` in place, so nothing of the pass is recomputed. The
-parameter gradient is the scratch's ``"grad"`` buffer, and its per-layer
-weight and bias views are made with it, once, under ``("gw", i)`` and
-``("gb", i)``; it has the dtype of ``params``. A training step takes its loss
-and the loss gradient from one difference ``pred - y`` in the scratch's
-``"d"`` buffer (``mse_and_grad``). ``adam_step`` updates the parameters and
-its moments in place. Supervised validation runs through one more scratch
-per run, so its passes, too, reuse their buffers from epoch to epoch.
+parameter gradient is the scratch's ``"grad"`` buffer; it has the dtype of
+``params``. Each pass binds, once per run and batch size, every view it
+touches: the weights, their transposes and biases, and its buffers with their
+per-layer gradient views (``bind``). A binding lives in the scratch under
+``"bound"`` and goes whenever a buffer is remade, so a warm step makes only
+the numpy calls that compute. A training step takes its loss and the loss
+gradient from one difference ``pred - y`` in the scratch's ``"d"`` buffer
+(``mse_and_grad``). ``adam_step`` updates the parameters and its moments in
+place. Supervised validation runs through one more scratch per run, so its
+passes, too, reuse their buffers from epoch to epoch.
 """
 
 from __future__ import annotations
@@ -117,11 +120,24 @@ def init_mlp(layer_dims, seed: int) -> Mlp:
     return Mlp(layer_dims=dims, params=np.concatenate(parts))
 
 
-# branch-free: a select mispredicts on mixed signs; same values, but -0.0 -> +0.0.
-# forward and backward run these same operations in their scratch buffers.
+def _elu(z, neg=None, out=None):
+    """ELU of ``z`` as ``max(z, expm1(min(z, 0)))``, z first: three operations.
+
+    Branch-free, since a select mispredicts on mixed signs: the select form's
+    values, but -0.0 -> +0.0. It has the bits of the four operations
+    ``expm1(min(z, 0)) + max(z, 0)`` for every input but a signaling NaN,
+    which comes out unquieted; a pass adds the bias first, which quiets every
+    NaN. ``min(z, 0)`` goes to ``neg`` and the result to ``out``; a None
+    ``neg`` is made, and with a None ``out`` the result overwrites ``neg``.
+    """
+    neg = np.minimum(z, 0.0, out=neg)
+    h = np.expm1(neg, out=neg if out is None else out)
+    return np.maximum(z, h, out=h)
+
+
 def elu(x):
     x = np.asarray(x, dtype=float)
-    return np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
+    return _elu(x, out=np.empty_like(x))[()]
 
 
 def elu_grad(x):
@@ -131,28 +147,50 @@ def elu_grad(x):
 def scratch_buffer(scratch: Optional[dict], key, shape, dtype=FLOAT64) -> np.ndarray:
     """A new array without a scratch, else the leading rows of ``scratch[key]``.
 
-    The buffer is remade when it is short or of another dtype.
+    The buffer is remade when it is short or of another dtype, and every
+    binding (``bind``) goes with it, so none views a buffer that was replaced.
     """
     if scratch is None:
         return np.empty(shape, dtype)
     buf = scratch.get(key)
     if buf is None or len(buf) < shape[0] or buf.dtype != dtype:
         buf = scratch[key] = np.empty(shape, dtype)
+        scratch.pop("bound", None)
     return buf[:shape[0]]
 
 
-def _param_grad(mlp: Mlp, scratch: dict) -> np.ndarray:
-    """The scratch's ``"grad"`` buffer, laid out and typed like ``params``.
+def bind(scratch: Optional[dict], key, owner, make, *args):
+    """``make(*args, scratch)``, made once per ``key`` and ``owner`` and kept in ``scratch``.
 
-    Its per-layer weight and bias views are made with it, once, under
-    ``("gw", i)`` and ``("gb", i)``.
+    A binding holds the views a pass reads and writes: of ``owner``, a
+    network's ``params`` or None, and of the scratch's buffers. It lives in
+    the scratch's ``"bound"`` dict until ``scratch_buffer`` remakes a buffer,
+    and is remade for another ``owner``. Without a scratch it is made on
+    every call.
     """
-    buf = scratch.get("grad")
-    if buf is None or buf.shape != mlp.params.shape or buf.dtype != mlp.params.dtype:
-        buf = scratch["grad"] = np.empty_like(mlp.params)
-        for i, views in enumerate(zip(*_layer_views(buf, mlp.layer_dims))):
-            scratch[("gw", i)], scratch[("gb", i)] = views
-    return buf
+    if scratch is None:
+        return make(*args, None)
+    got = scratch.get("bound", {}).get(key)
+    if got is None or got[0] is not owner:
+        got = owner, make(*args, scratch)
+        scratch.setdefault("bound", {})[key] = got
+    return got[1]
+
+
+def _forward_views(mlp: Mlp, n: int, scratch: Optional[dict]):
+    """The hidden layers' views for n rows, then the output layer's.
+
+    A hidden layer's are W.T, b and its ``("z", i)``, ``("neg", i)`` and
+    ``("h", i)`` buffers; the output layer's are W.T, b and ``("z", i)``.
+    Without a scratch every buffer is None, so each layer's arrays are made
+    as it runs.
+    """
+    views, last = [], len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        keys = ("z",) if i == last else ("z", "neg", "h")
+        views.append((w.T, b, *(None if scratch is None else scratch_buffer(
+            scratch, (k, i), (n, len(w)), mlp.params.dtype) for k in keys)))
+    return views[:-1], views[-1]
 
 
 def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
@@ -161,27 +199,23 @@ def forward(mlp: Mlp, x, scratch: Optional[dict] = None) -> np.ndarray:
     The pass computes in the dtype of ``mlp.params``, to which ``x`` is cast.
     With a ``scratch`` the output is a view of its buffers, which keep, for
     ``backward``, each hidden layer's output ``("h", i)`` and ``min(z, 0)`` of
-    its pre-activation ``z`` in ``("z", i)``.
+    its pre-activation ``z`` in ``("neg", i)``.
     """
     x = np.asarray(x, dtype=mlp.params.dtype)
     squeeze = x.ndim == 1
-    h = np.atleast_2d(x)
+    h = x if x.ndim == 2 else np.atleast_2d(x)  # atleast_2d's result, without its call
     if h.shape[1] != mlp.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[1]} != expected {mlp.layer_dims[0]}")
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = np.matmul(h, w.T, out=scratch_buffer(scratch, ("z", i), (len(h), len(w)), x.dtype))
-        z += b
-        if i < last:
-            # elu's operations, with min(z, 0) left in z for backward's derivative; the
-            # positive part goes where backward later writes this layer's upstream.
-            # Without a scratch it is made after h and freed with its layer: in that
-            # order a fresh process's peak RSS is lowest.
-            h = scratch_buffer(scratch, ("h", i), z.shape, x.dtype)
-            pos = np.maximum(z, 0.0, out=scratch_buffer(scratch, ("up", i), z.shape, x.dtype))
-            np.expm1(np.minimum(z, 0.0, out=z), out=h)
-            h += pos
-            del pos
+    hidden, (w_t, b, z) = bind(scratch, ("forward", len(h)), mlp.params,
+                               _forward_views, mlp, len(h))
+    for w_t_i, b_i, z_i, neg, out in hidden:
+        z_i = np.matmul(h, w_t_i, out=z_i)
+        z_i += b_i
+        # min(z, 0) stays in neg for backward; without a scratch the ELU is computed
+        # in place there, so a layer holds two arrays, not three
+        h = _elu(z_i, neg, out)
+    z = np.matmul(h, w_t, out=z)
+    z += b
     return z[0] if squeeze else z
 
 
@@ -220,6 +254,31 @@ class Gradients:
     inputs: Optional[np.ndarray]  # None when wrt="params"
 
 
+def _backward_views(mlp: Mlp, n: int, wrt: str, scratch: dict):
+    """The gradient buffer and, from the last layer down, each layer's views of n rows.
+
+    A layer reads its delta (``"g"`` at the output, else its upstream) and
+    delta.T, W, and the record of the layer below: ``("h", i - 1)``, None at
+    layer 0, which reads ``x``, and ``("neg", i - 1)``. It writes the weight
+    and bias views of ``"grad"``, None for ``wrt="inputs"``, and its upstream
+    into ``("z", i - 1)``, which no pass reads again. The layer-0 upstream is
+    the input gradient, None for ``wrt="params"``.
+    """
+    dtype, dims, layers = mlp.params.dtype, mlp.layer_dims, len(mlp.weights)
+    grad, gw, gb = None, [None] * layers, [None] * layers
+    if wrt != "inputs":
+        grad = scratch_buffer(scratch, "grad", mlp.params.shape, dtype)
+        gw, gb = _layer_views(grad, dims)
+    delta, views = scratch_buffer(scratch, "g", (n, dims[-1]), dtype), []
+    for i in range(layers - 1, -1, -1):
+        up = None if i == 0 and wrt == "params" else scratch_buffer(
+            scratch, ("z", i - 1), (n, dims[i]), dtype)
+        below = (scratch[("h", i - 1)][:n], scratch[("neg", i - 1)][:n]) if i else (None, None)
+        views.append((delta, delta.T, mlp.weights[i], gw[i], gb[i], *below, up))
+        delta = up
+    return grad, views
+
+
 def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
              wrt: str = "both") -> Gradients:
     """Exact reverse-mode gradients of the affine/ELU graph.
@@ -234,7 +293,7 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
 
     ``scratch`` is the one ``forward(mlp, x, scratch)`` just filled; without
     it the pass is run here, into a fresh one. The gradients are views of its
-    buffers, and each ``("z", i)`` buffer, ``min(z, 0)``, is overwritten by
+    buffers, and each ``("neg", i)`` buffer, ``min(z, 0)``, is overwritten by
     its exp, the ELU derivative: a forward pass is read once.
     """
     if wrt not in ("both", "params", "inputs"):
@@ -244,27 +303,25 @@ def backward(mlp: Mlp, x, grad_output, scratch: Optional[dict] = None,
     if scratch is None:
         scratch = {}
         forward(mlp, x, scratch)
-    x = np.atleast_2d(x)
-    n = len(x)
-    g = np.atleast_2d(grad_output)
-    if g.shape != (n, mlp.layer_dims[-1]):
+    g = np.asarray(grad_output)
+    if x.ndim != 2 or g.ndim != 2:  # atleast_2d returns a 2-D array itself, so skip its call
+        x, g = np.atleast_2d(x), np.atleast_2d(g)
+    if g.shape != (len(x), mlp.layer_dims[-1]):
         raise ValueError("grad_output shape mismatch")
 
-    grad = None if wrt == "inputs" else _param_grad(mlp, scratch)
-    delta = scratch_buffer(scratch, "g", g.shape, x.dtype)  # identity output activation
-    np.copyto(delta, g, casting="same_kind")
-    for i in range(len(mlp.weights) - 1, -1, -1):
-        if grad is not None:
-            np.matmul(delta.T, x if i == 0 else scratch[("h", i - 1)][:n], out=scratch[("gw", i)])
-            np.add.reduce(delta, axis=0, out=scratch[("gb", i)])  # delta.sum without its wrapper
-        if i == 0 and wrt == "params":
+    grad, views = bind(scratch, ("backward", len(x), wrt), mlp.params,
+                       _backward_views, mlp, len(x), wrt)
+    np.copyto(views[0][0], g, casting="same_kind")  # identity output activation
+    for delta, delta_t, w, gw, gb, h, neg, up in views:
+        if gw is not None:
+            np.matmul(delta_t, x if h is None else h, out=gw)
+            np.add.reduce(delta, axis=0, out=gb)  # delta.sum without its wrapper
+        if up is None:
             break
-        upstream = np.matmul(delta, mlp.weights[i], out=scratch_buffer(
-            scratch, ("up", i - 1), (n, mlp.layer_dims[i]), x.dtype))
-        if i > 0:
-            neg = scratch[("z", i - 1)][:n]  # min(z, 0); its exp is the ELU derivative
-            delta = np.multiply(upstream, np.exp(neg, out=neg), out=upstream)
-    inputs = None if wrt == "params" else upstream[0] if squeeze else upstream
+        np.matmul(delta, w, out=up)
+        if neg is not None:  # exp(min(z, 0)) is the ELU derivative
+            np.multiply(up, np.exp(neg, out=neg), out=up)
+    inputs = None if wrt == "params" else up[0] if squeeze else up
     return Gradients(params=grad, inputs=inputs)
 
 

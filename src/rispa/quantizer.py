@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .neural import scratch_buffer
+from .neural import bind, scratch_buffer
 from .scene import STATE_COUNT, STATE_STEP_DEG, state_phases_deg
 
 # cos and sin of the first half of the state phases; each state pairs with its antipode
@@ -109,42 +109,56 @@ def soft_phasor_with_grad(angle_deg, cfg: QuantizerConfig, out: np.ndarray,
     return grad, spent
 
 
+def _soft_views(shape, dtype, cfg: QuantizerConfig, scratch: Optional[dict]):
+    """The kernel's five flat buffers, its four stacked ones, the third's views per pair, its columns.
+
+    The pairs stack on a leading axis, in the leading rows of a (pairs * rows,
+    ...) buffer. The columns, in ``dtype``, are cos and sin of the pair phases
+    over tau, then the pair phasors' cos and sin.
+    """
+    pairs = len(_PAIR_COS)
+    flat = [scratch_buffer(scratch, ("soft", k), shape, dtype) for k in range(5)]
+    stacked = [scratch_buffer(scratch, ("soft", k), (pairs * shape[0],) + shape[1:], dtype)
+               .reshape((pairs,) + shape) for k in range(5, 9)]
+    # the floor keeps 1/tau, and every product of it below, finite in dtype
+    tau = max(cfg.temperature * (np.pi / 180.0), float(np.finfo(dtype).max) ** -0.5)
+    col = (pairs,) + (1,) * len(shape)
+    cols = [c.astype(dtype).reshape(col) for c in (_PAIR_COS / tau, _PAIR_SIN / tau, _PAIR_COS, _PAIR_SIN)]
+    return flat, stacked, tuple(stacked[2]), cols
+
+
 def _soft_kernel(angle: np.ndarray, cfg: QuantizerConfig, scratch: Optional[dict], dtype=np.float64):
     """zr, zi, |z|^2, d arg(z)/d theta and a spent buffer of their shape, all in ``dtype``."""
     theta = np.atleast_1d(angle)
-    shape, pairs = theta.shape, len(_PAIR_COS)
-    flat = [scratch_buffer(scratch, ("soft", k), shape, dtype) for k in range(5)]
-    # the pairs stack on a leading axis, in the leading rows of a (pairs * rows, ...) buffer
-    a, b, tmp, sinh = (scratch_buffer(scratch, ("soft", k), (pairs * len(theta),) + shape[1:], dtype)
-                       .reshape((pairs,) + shape) for k in range(5, 9))
+    flat, (a, b, tmp, sinh), tmp_pairs, (c, s, pair_cos, pair_sin) = bind(
+        scratch, ("soft", theta.shape, dtype, cfg.temperature), None, _soft_views, theta.shape, dtype, cfg)
     theta = np.multiply(theta, np.pi / 180.0, out=flat[0], dtype=dtype)
     cos_t, sin_t = np.cos(theta, out=flat[1]), np.sin(theta, out=theta)
-    # the floor keeps 1/tau, and every product of it below, finite in dtype
-    tau = max(cfg.temperature * (np.pi / 180.0), float(np.finfo(dtype).max) ** -0.5)
-    col = (pairs,) + (1,) * theta.ndim
-    c, s = (_PAIR_COS / tau).astype(dtype).reshape(col), (_PAIR_SIN / tau).astype(dtype).reshape(col)
     np.add(np.multiply(cos_t, c, out=a), np.multiply(sin_t, s, out=tmp), out=a)
     np.subtract(np.multiply(sin_t, c, out=b), np.multiply(cos_t, s, out=tmp), out=b)
-    neg_m = np.negative(np.abs(a, out=tmp).max(axis=0, out=flat[2]), out=flat[2])
+    neg_m = np.negative(np.maximum.reduce(np.abs(a, out=tmp), axis=0, out=flat[2]), out=flat[2])
     up = np.exp(np.add(a, neg_m, out=tmp), out=tmp)
     # a becomes e^{-a_s - m} in place
     down = np.exp(np.subtract(neg_m, a, out=a), out=a)
     np.subtract(up, down, out=sinh)   # 2 e^{-m} sinh(a_s)
     cosh_b = np.multiply(np.add(down, up, out=down), b, out=down)   # 2 e^{-m} cosh(a_s) b_s
     # what the cos/sin and m arrays held is spent: they take the sums and the gradient
-    zr, zi = _pair_sum(sinh, _PAIR_COS, cos_t, tmp), _pair_sum(sinh, _PAIR_SIN, sin_t, tmp)
+    zr = _pair_sum(sinh, pair_cos, cos_t, tmp, tmp_pairs)
+    zi = _pair_sum(sinh, pair_sin, sin_t, tmp, tmp_pairs)
     # d arg(z)/d theta = (zr dzi - zi dzr) / |z|^2, where dz = -sum_s cosh_b[s] e^{j phi_s}
-    grad = np.multiply(zi, _pair_sum(cosh_b, _PAIR_COS, flat[2], tmp), out=flat[2])
-    grad -= np.multiply(zr, _pair_sum(cosh_b, _PAIR_SIN, flat[3], tmp), out=flat[3])
+    grad = np.multiply(zi, _pair_sum(cosh_b, pair_cos, flat[2], tmp, tmp_pairs), out=flat[2])
+    grad -= np.multiply(zr, _pair_sum(cosh_b, pair_sin, flat[3], tmp, tmp_pairs), out=flat[3])
     grad /= np.add(np.multiply(zr, zr, out=flat[3]), np.multiply(zi, zi, out=flat[4]), out=flat[3])
     return zr, zi, flat[3], grad, flat[4]
 
 
-def _pair_sum(stack, coefs, out, tmp):
-    """sum_s stack[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call."""
-    col = (-1,) + (1,) * (stack.ndim - 1)
-    terms = np.multiply(stack, coefs.astype(stack.dtype).reshape(col), out=tmp)
-    np.add(terms[0], terms[1], out=out)
-    for t in terms[2:]:
+def _pair_sum(stack, coefs, out, tmp, tmp_pairs):
+    """sum_s stack[s] * coefs[s] into ``out``, added left to right: a fixed order and no BLAS call.
+
+    The products go to ``tmp``, whose views per pair are ``tmp_pairs``.
+    """
+    np.multiply(stack, coefs, out=tmp)
+    np.add(tmp_pairs[0], tmp_pairs[1], out=out)
+    for t in tmp_pairs[2:]:
         out += t
     return out

@@ -105,6 +105,11 @@ def test_tandem_gradients_match_finite_differences():
         assert abs(fd - analytic[idx]) / denom < 1e-4
 
 
+def _buffers(scratch):
+    """The buffers of ``scratch``, without the bindings that view them."""
+    return {k: v for k, v in scratch.items() if isinstance(v, np.ndarray)}
+
+
 def _plain_layers(mlp, h):
     """Output, layer inputs and pre-activations of ``mlp`` as plain expressions with fresh arrays."""
     inputs, pre = [], []
@@ -168,10 +173,10 @@ def test_tandem_steps_on_one_scratch_are_bit_identical_to_reference():
     state = neural.init_adam(ide.params, learning_rate=1e-2)
     ref_params, ref_state = ide.params.copy(), neural.init_adam(ide.params, learning_rate=1e-2)
     buffers = None
-    for rows in (256, 256, 94, 256):
+    for step, rows in enumerate((94, 256, 256, 94, 256)):
         x = rng.uniform(0.0, 0.6, size=(rows, 3))
         y = rng.uniform(0.0, 0.6, size=(rows, 3))
-        for buf in (*ide_scratch.values(), *fse_scratch.values()):
+        for buf in (*_buffers(ide_scratch).values(), *_buffers(fse_scratch).values()):
             buf.fill(np.nan)  # a value left over from an earlier step would show
         loss, grads = tandem_loss_and_grads(ide, fse, qcfg, x, y,
                                             ide_scratch=ide_scratch, fse_scratch=fse_scratch)
@@ -179,10 +184,15 @@ def test_tandem_steps_on_one_scratch_are_bit_identical_to_reference():
         assert loss == ref_loss
         assert np.array_equal(grads, ref_grads)
         assert np.shares_memory(grads, ide_scratch["grad"])
-        # the first batch sizes the buffers; the short batch uses their leading rows
-        buffers = buffers or (dict(ide_scratch), dict(fse_scratch))
-        for scratch, first in zip((ide_scratch, fse_scratch), buffers):
-            assert scratch.keys() == first.keys()
+        # the step wrote into the scratches' buffers, not into ones a binding kept after
+        # the larger batch remade them
+        for key, buf in (*_buffers(ide_scratch).items(), *_buffers(fse_scratch).items()):
+            assert not np.isnan(buf[:rows]).any(), key
+        # the larger second batch remakes the buffers; a short batch then uses their leading rows
+        if step == 1:
+            buffers = (_buffers(ide_scratch), _buffers(fse_scratch))
+        for scratch, first in zip((ide_scratch, fse_scratch), buffers or ()):
+            assert _buffers(scratch).keys() == first.keys()
             assert all(scratch[k] is v for k, v in first.items())
         # Adam consumes the gradient in the scratch before the next step writes over it
         params, state = neural.adam_step(ide.params, grads, state)
@@ -372,7 +382,7 @@ _FLOAT64_STEP_KEYS = {"d"}
 
 
 def _step_dtypes(scratch):
-    return {k[0] if isinstance(k, tuple) else k: v.dtype for k, v in scratch.items()}
+    return {k[0] if isinstance(k, tuple) else k: v.dtype for k, v in _buffers(scratch).items()}
 
 
 def test_training_steps_run_float32_and_validation_float64(tiny_corpus, monkeypatch):

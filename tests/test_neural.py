@@ -82,6 +82,29 @@ _ELU_EDGES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e
                        -2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 709.8, -745.2, 1.0, -1.0])
 
 
+def _four_op_elu(z):
+    """The ELU as forward ran it before its three-operation form: the bit reference."""
+    return np.expm1(np.minimum(z, 0.0)) + np.maximum(z, 0.0)
+
+
+def _elu_sweep(dtype):
+    """Every sign and exponent of ``dtype``, 64 mantissas each, subnormals and +-0.0 among them.
+
+    The top exponent gives +-inf and the quiet NaN only: a signaling NaN is
+    the one input the two forms differ on, and no pass feeds one to the ELU.
+    """
+    uint, mant_bits = np.dtype(f"u{np.dtype(dtype).itemsize}"), np.finfo(dtype).nmant
+    sign_bit = uint.itemsize * 8 - 1
+    top = (1 << (sign_bit - mant_bits)) - 1  # the all-ones exponent of inf and NaN
+    mantissas = np.unique(np.concatenate([
+        [0, 1, 2, (1 << mant_bits) - 1, 1 << (mant_bits - 1)],
+        np.random.default_rng(43).integers(0, 1 << mant_bits, 59)])).astype(uint)
+    finite = (np.arange(top, dtype=uint)[:, None] << uint.type(mant_bits)) | mantissas
+    special = (uint.type(top) << uint.type(mant_bits)) | np.array([0, 1 << (mant_bits - 1)], uint)
+    codes = np.concatenate([finite.ravel(), special])
+    return np.concatenate([codes, codes | (uint.type(1) << uint.type(sign_bit))]).view(dtype)
+
+
 @pytest.mark.parametrize("scale", [1e-310, 1e-8, 1.0, 30.0, 1e3, 1e300])
 def test_branch_free_elu_matches_select_form(scale):
     x = np.random.default_rng(41).standard_normal((256, 100)) * scale
@@ -89,6 +112,19 @@ def test_branch_free_elu_matches_select_form(scale):
     want_value, want_grad = _select_elu(x)
     assert np.array_equal(nn.elu(x), want_value, equal_nan=True)
     assert np.array_equal(nn.elu_grad(x), want_grad, equal_nan=True)
+    # bit for bit the four-operation form; array_equal takes -0.0 for +0.0, so compare bits
+    assert nn.elu(x).tobytes() == _four_op_elu(x).tobytes()
+    for dtype in (np.float32, np.float64):
+        z = _elu_sweep(dtype)
+        assert z.size > 2 * 250 * 64 and (z == 0.0).sum() == 2 and np.isnan(z).sum() == 2
+        want = _four_op_elu(z).tobytes()
+        # as forward runs it: into fresh arrays, and into buffers that keep min(z, 0)
+        neg, out = np.empty_like(z), np.empty_like(z)
+        assert nn._elu(z).tobytes() == want
+        assert nn._elu(z, neg, out).tobytes() == want and out.tobytes() == want
+        assert neg.tobytes() == np.minimum(z, 0.0).tobytes()
+        if dtype == np.float64:
+            assert nn.elu(z).tobytes() == want
 
 
 @pytest.mark.parametrize("x", [-3.5, -0.0, 0.0, 2.0, np.float64(-1e-300), np.array(-0.25)])
@@ -259,6 +295,11 @@ def test_backward_rejects_an_unknown_wrt():
         nn.backward(mlp, np.ones(2), np.ones(1), wrt="weights")
 
 
+def _buffers(scratch):
+    """The buffers of ``scratch``, without the bindings that view them."""
+    return {k: v for k, v in scratch.items() if isinstance(v, np.ndarray)}
+
+
 def _plain_loss_and_grads(mlp, x, y):
     """The supervised step as plain numpy expressions with fresh arrays: the bit reference.
 
@@ -270,7 +311,7 @@ def _plain_loss_and_grads(mlp, x, y):
         z = h @ w.T + b
         inputs.append(h)
         pre.append(z)
-        # nn.elu's expression, without its cast to float64
+        # the four-operation ELU, whose bits nn.elu has, without its cast to float64
         h = np.expm1(np.minimum(z, 0.0)) + np.maximum(z, 0.0) if i < len(mlp.weights) - 1 else z
     delta, parts = (2.0 * (h - y) / h.size).astype(mlp.params.dtype), []
     for i in range(len(mlp.weights) - 1, -1, -1):
@@ -287,10 +328,10 @@ def test_supervised_steps_on_one_scratch_are_bit_identical_to_reference():
     state = nn.init_adam(mlp.params, learning_rate=1e-2)
     ref_params, ref_state = mlp.params.copy(), nn.init_adam(mlp.params, learning_rate=1e-2)
     buffers = None
-    for rows in (256, 256, 94, 256):
+    for step, rows in enumerate((94, 256, 256, 94, 256)):
         x = rng.uniform(-1.0, 1.0, size=(rows, 40))
         y = rng.uniform(0.0, 1.0, size=(rows, 3))
-        for buf in scratch.values():
+        for buf in _buffers(scratch).values():
             buf.fill(np.nan)  # a value left over from an earlier step would show
         loss, grads = nn._supervised_loss_and_grads(mlp, x, y, scratch=scratch)
         ref_loss, ref_grads = _plain_loss_and_grads(mlp, x, y)
@@ -298,10 +339,16 @@ def test_supervised_steps_on_one_scratch_are_bit_identical_to_reference():
         assert np.array_equal(grads, ref_grads)
         assert np.array_equal(nn._supervised_loss_and_grads(mlp, x, y)[1], ref_grads)
         assert np.shares_memory(grads, scratch["grad"])
-        # the first batch sizes the buffers; the short batch uses their leading rows
-        buffers = buffers or dict(scratch)
-        assert scratch.keys() == buffers.keys()
-        assert all(scratch[k] is v for k, v in buffers.items())
+        # the step wrote into the scratch's buffers, not into ones a binding kept after
+        # the larger batch remade them
+        for key, buf in _buffers(scratch).items():
+            assert not np.isnan(buf[:rows]).any(), key
+        # the larger second batch remakes the buffers; a short batch then uses their leading rows
+        if step == 1:
+            buffers = _buffers(scratch)
+        if buffers:
+            assert _buffers(scratch).keys() == buffers.keys()
+            assert all(scratch[k] is v for k, v in buffers.items())
         # Adam consumes the gradient in the scratch before the next step writes over it
         params, state = nn.adam_step(mlp.params, grads, state)
         ref_params, ref_state = nn.adam_step(ref_params, ref_grads, ref_state)
@@ -455,7 +502,7 @@ def test_non_float32_inputs_keep_float64_buffers_and_output(x):
     out = nn.forward(mlp, x, scratch)
     grads = nn.backward(mlp, x, np.ones_like(out), scratch)
     assert out.dtype == grads.params.dtype == grads.inputs.dtype == np.float64
-    assert all(buf.dtype == np.float64 for buf in scratch.values())
+    assert all(buf.dtype == np.float64 for buf in _buffers(scratch).values())
     assert np.array_equal(out, nn.forward(mlp, np.asarray(x, dtype=float)))
 
 
@@ -472,9 +519,9 @@ def test_float32_scratch_buffers_are_remade_in_the_pass_dtype():
         out = nn.forward(net, x, scratch)
         grads = nn.backward(net, x, np.ones_like(out), scratch)
         assert out.dtype == grads.params.dtype == grads.inputs.dtype == dtype
-        assert {buf.dtype for buf in scratch.values()} == {np.dtype(dtype)}
-        assert {k if isinstance(k, str) else k[0] for k in scratch} == {"z", "h", "up", "g",
-                                                                          "grad", "gw", "gb"}
+        assert {buf.dtype for buf in _buffers(scratch).values()} == {np.dtype(dtype)}
+        assert {k if isinstance(k, str) else k[0] for k in _buffers(scratch)} == {
+            "z", "h", "neg", "g", "grad"}
 
 
 def test_float32_input_to_a_float64_network_runs_a_float64_pass():
@@ -484,7 +531,7 @@ def test_float32_input_to_a_float64_network_runs_a_float64_pass():
     out = nn.forward(mlp, x32, scratch)
     grads = nn.backward(mlp, x32, np.ones_like(out), scratch)
     assert out.dtype == grads.params.dtype == grads.inputs.dtype == np.float64
-    assert {buf.dtype for buf in scratch.values()} == {np.dtype(np.float64)}
+    assert {buf.dtype for buf in _buffers(scratch).values()} == {np.dtype(np.float64)}
     # the bits of the same pass on the exactly widened input
     x64 = x32.astype(np.float64)
     ref = nn.backward(mlp, x64, np.ones_like(out))

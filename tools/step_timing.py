@@ -6,21 +6,25 @@ through the frozen surrogate, with its Adam update), one whole desk-shaped
 surrogate step (batch 128: ``forward``, ``mse_and_grad``, the
 parameter-only ``backward`` and Adam) and one desk-shaped surrogate epoch
 of ``neural.train`` itself (1,620 rows at batch 128, then 180 validation
-rows). Two more lines time ``neural.adam_step`` alone at the surrogate's
-14,503 and the inverse network's 3,770 parameters, as ``neural.train``
-calls it: a float32 gradient over a float64 master. The steps run as
+rows). Two more lines time the same two steps at batch 1, where nearly all
+of a step is its fixed cost: Python calls, argument checks and views. Two
+more time ``neural.adam_step`` alone at the surrogate's 14,503 and the
+inverse network's 3,770 parameters, as ``neural.train`` calls it: a
+float32 gradient over a float64 master. The steps run as
 ``neural.train`` runs them: on copies of the networks in its step dtype
 (``neural.FLOAT32``), with input batches in that dtype and float64 targets,
 and each step ends by refreshing the trained network's copy from its
-float64 master after Adam has updated that. The
-epoch gets float64 inputs, as ``engines.train_fse`` passes them, and
-``neural.train`` casts them.
-The trace already reports the self time of the soft quantizer, the encoding
-and each network pass. Each line gives one timing in microseconds per call,
-the best of ``--repeat`` averages over ``--number`` calls (over a tenth as
-many for the epoch); the last line is one JSON summary of them all. Each
-timing runs in a fresh spawned process, so what one kernel leaves allocated
-cannot move the timings after it.
+float64 master after Adam has updated that. The epoch gets float64 inputs,
+as ``engines.train_fse`` passes them, and ``neural.train`` casts them.
+
+The trace reports the self time of each network pass, but not of a
+training step's soft quantizer and encoding: ``soft_phasor_with_grad`` has
+no span, so their time sits in the self time of ``engines.tandem_step``.
+Each line gives one timing in microseconds per call, the best of
+``--repeat`` averages over ``--number`` calls (over a tenth as many for the
+epoch); the last line is one JSON summary of them all. Each timing runs in
+a fresh spawned process, so what one kernel leaves allocated cannot move
+the timings after it.
 
     python tools/step_timing.py [--number 1000] [--repeat 7]
 
@@ -59,14 +63,14 @@ def _step_copy(mlp):
     return neural.Mlp(mlp.layer_dims, mlp.params.astype(neural.FLOAT32))
 
 
-def _tandem_step():
+def _tandem_step(batch=TANDEM_BATCH):
     """One whole tandem step as ``neural.train`` runs it, with its Adam update."""
     rng = np.random.default_rng(SEED)
     ide = neural.init_mlp(engines.ide_layer_dims(), seed=SEED)
     ide_steps = _step_copy(ide)
     fse_steps = _step_copy(neural.init_mlp(engines.fse_layer_dims(), seed=SEED + 1))
     qcfg = QuantizerConfig()
-    y = rng.uniform(0.0, 0.6, size=(TANDEM_BATCH, 3))
+    y = rng.uniform(0.0, 0.6, size=(batch, 3))
     x = y.astype(neural.FLOAT32)
     ide_scratch, fse_scratch = {}, {}
     adam = neural.init_adam(ide.params, 2e-3)
@@ -81,13 +85,13 @@ def _tandem_step():
     return step
 
 
-def _fse_step():
+def _fse_step(batch=FSE_BATCH):
     """One supervised surrogate step as ``neural.train`` runs it, with its Adam update."""
     rng = np.random.default_rng(SEED)
     fse = neural.init_mlp(engines.fse_layer_dims(), seed=SEED)
     fse_steps = _step_copy(fse)
-    x = engines.profile_encoding(rng.integers(0, 8, size=(FSE_BATCH, 20))).astype(neural.FLOAT32)
-    y = rng.uniform(0.0, 1.0, size=(FSE_BATCH, 3))
+    x = engines.profile_encoding(rng.integers(0, 8, size=(batch, 20))).astype(neural.FLOAT32)
+    y = rng.uniform(0.0, 1.0, size=(batch, 3))
     scratch, adam = {}, neural.init_adam(fse.params, 1e-3)
 
     def step():
@@ -142,6 +146,10 @@ def main(argv=None) -> int:
     print(f"tandem {'step':5s} {tandem_step:10.1f} us", flush=True)
     fse_step = fresh_us(_fse_step, args.number)
     print(f"fse    {'step':5s} {fse_step:10.1f} us", flush=True)
+    tandem_b1 = fresh_us(partial(_tandem_step, 1), args.number)
+    print(f"tandem {'b1':5s} {tandem_b1:10.1f} us", flush=True)
+    fse_b1 = fresh_us(partial(_fse_step, 1), args.number)
+    print(f"fse    {'b1':5s} {fse_b1:10.1f} us", flush=True)
     fse_epoch = fresh_us(_fse_epoch, max(1, args.number // 10))
     print(f"fse    {'epoch':5s} {fse_epoch:10.1f} us", flush=True)
     adam = {}
@@ -157,6 +165,8 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "tandem_step_us": round(tandem_step, 1),
         "fse_step_us": round(fse_step, 1),
+        "tandem_step_b1_us": round(tandem_b1, 1),
+        "fse_step_b1_us": round(fse_b1, 1),
         "fse_epoch_rows": list(FSE_ROWS),
         "fse_epoch_us": round(fse_epoch, 1),
         "adam_fse_us": round(adam["fse"], 1),
